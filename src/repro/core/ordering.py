@@ -21,8 +21,10 @@ from typing import List, Sequence, Tuple
 
 from ..errors import GraphError
 from ..graphs.automorphisms import equivalence_classes
+from ..graphs.canonical import canonical_labeling
 from ..graphs.network import AnonymousNetwork
 from ..graphs.surroundings import order_equivalence_classes
+from ..perf import cache as _cache
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,50 @@ def compute_class_structure(
     color-preserving automorphisms map black to black, every class is
     monochromatic; classes are split into agent classes and node classes
     accordingly.
+
+    Memoized once per isomorphism class (kind ``class_structure``): the
+    key is the canonical form of the bi-colored underlying graph, the
+    exact bytes :func:`~repro.graphs.canonical.canonical_hash` digests.
+    The value is stored by canonical position and carried into the
+    caller's numbering through the canonical node order of the same
+    search.  That equals a direct computation: an isomorphism maps orbits
+    onto orbits, the ``≺`` keys do not depend on the numbering, and each
+    class is re-sorted.  Non-simple maps, non-integer colorings and calls
+    inside :func:`~repro.perf.cache.uncached` compute directly.
     """
+    if not (
+        _cache.cache_enabled()
+        and network.is_simple
+        and all(isinstance(c, int) for c in bicoloring)
+    ):
+        return _compute_class_structure(network, bicoloring)
+    form, order = canonical_labeling(network, bicoloring)
+
+    def by_position() -> ClassStructure:
+        position = [0] * network.num_nodes
+        for i, node in enumerate(order):
+            position[node] = i
+        return _renumbered(_compute_class_structure(network, bicoloring), position)
+
+    canonical = _cache.memo_value("class_structure", form, by_position)
+    return _renumbered(canonical, order)
+
+
+def _renumbered(structure: ClassStructure, rename: Sequence[int]) -> ClassStructure:
+    """``structure`` with node ``v`` renamed ``rename[v]``, classes re-sorted."""
+    return ClassStructure(
+        classes=tuple(
+            tuple(sorted(rename[v] for v in cls)) for cls in structure.classes
+        ),
+        num_agent_classes=structure.num_agent_classes,
+    )
+
+
+def _compute_class_structure(
+    network: AnonymousNetwork,
+    bicoloring: Sequence[int],
+) -> ClassStructure:
+    """The direct COMPUTE & ORDER on ``network``'s own numbering."""
     raw = equivalence_classes(network, bicoloring)
     ordered = order_equivalence_classes(network, raw, bicoloring)
     agent_classes = [c for c in ordered if bicoloring[c[0]] == 1]

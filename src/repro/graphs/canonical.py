@@ -10,7 +10,10 @@ practical *individualization–refinement* canonical form:
 2. while some cell is non-singleton, individualize each member of the first
    such cell in turn and recurse;
 3. every leaf yields a discrete ordering and hence a matrix encoding; the
-   canonical encoding is the minimum over leaves.
+   canonical encoding is the minimum over leaves;
+4. two leaves with equal encodings reveal an automorphism, and a child that
+   the automorphisms fixing the current prefix map onto an explored sibling
+   is skipped — the minimum, and the first ordering reaching it, stay put.
 
 The encoding is invariant under digraph isomorphism and distinguishes
 non-isomorphic digraphs, so the lexicographic order on encodings induces the
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import GraphError
+from ..groups.permgroup import orbits_of
 from ..perf import cache as _cache
 from ..perf.kernel import DigraphKernel, resolve_kernel
 
@@ -36,6 +40,7 @@ if False:  # pragma: no cover - typing only
     from .network import AnonymousNetwork
 
 CanonicalKey = Tuple[int, Tuple[int, ...], bytes]
+Encoding = Tuple[Tuple[int, ...], bytes]
 
 #: Version tag mixed into :func:`canonical_hash`.  Bump whenever the
 #: canonical encoding changes shape: persisted stores keyed by the hash
@@ -168,7 +173,7 @@ def _digraph_refinement_python(g: Digraph, initial: Sequence[int]) -> List[int]:
         classes = new_classes
 
 
-def _encode_ordering(g: Digraph, order: Sequence[int]) -> Tuple[Tuple[int, ...], bytes]:
+def _encode_ordering(g: Digraph, order: Sequence[int]) -> Encoding:
     """Encoding of g under a node ordering: (colors row, adjacency bitstring).
 
     ``order[i]`` = node placed at position i.  The adjacency component packs
@@ -198,20 +203,79 @@ def _make_refiner(g: Digraph, kernel: Optional[str]):
     return lambda classes: _digraph_refinement_python(g, classes)
 
 
-def canonical_encoding(
-    g: Digraph, kernel: Optional[str] = None
-) -> Tuple[Tuple[int, ...], bytes]:
-    """Minimum encoding over all refinement-consistent orderings.
+SearchResult = Tuple[CanonicalKey, Tuple[int, ...]]
 
-    Implements individualization–refinement; leaves are discrete partitions,
-    each giving a candidate encoding, and the minimum is canonical.  The
-    result is backend-independent (the kernels agree bit-for-bit).
+
+def _search(g: Digraph, kernel: Optional[str]) -> SearchResult:
+    """One individualization–refinement search, pruned by automorphisms.
+
+    Returns the canonical key and the *first* leaf ordering (in search
+    order) whose encoding is minimal.  Two leaves with equal encodings
+    reveal an automorphism ``γ`` (``γ(order₁[i]) = order₂[i]``).  A child
+    that the automorphisms fixing the current prefix pointwise map onto
+    an explored sibling roots a subtree that is the image of that
+    sibling's subtree: the same encodings, all later in search order.  So
+    such children are skipped, and a subtree whose root is shown to be
+    one after the fact is abandoned.  Neither the minimum encoding nor the
+    first ordering reaching it can change, since every skipped leaf has
+    an equal-encoding twin earlier in the unpruned search order.
     """
-    base_colors = _normalize_palette(g.colors)
+    n = g.num_nodes
     refine = _make_refiner(g, kernel)
-    best: List[Optional[Tuple[Tuple[int, ...], bytes]]] = [None]
+    generators: List[Tuple[int, ...]] = []
+    path: List[int] = []  # individualized nodes, root first
+    explored: List[List[int]] = []  # per depth: children finished so far
+    orbits: List[Tuple[int, List[int]]] = []  # per depth: (#generators, orbit ids)
+    first: Optional[Tuple[Encoding, Tuple[int, ...]]] = None
+    best: Optional[Tuple[Encoding, Tuple[int, ...]]] = None
+    unwind_to: Optional[int] = None  # depth whose current child is redundant
+
+    def redundant(depth: int, node: int) -> bool:
+        """Whether automorphisms fixing ``path[:depth]`` map ``node`` onto
+        a finished child of the depth-``depth`` node."""
+        done = explored[depth]
+        if not done or not generators:
+            return False
+        if orbits[depth][0] != len(generators):
+            prefix = path[:depth]
+            fixers = [gm for gm in generators if all(gm[v] == v for v in prefix)]
+            label = [0] * n
+            for i, orbit in enumerate(orbits_of(fixers, n)):
+                for v in orbit:
+                    label[v] = i
+            orbits[depth] = (len(generators), label)
+        label = orbits[depth][1]
+        return any(label[node] == label[e] for e in done)
+
+    def found(gamma: Tuple[int, ...]) -> Optional[int]:
+        """Record an automorphism; the shallowest depth it prunes, if any."""
+        generators.append(gamma)
+        for depth in range(len(path)):
+            if depth and gamma[path[depth - 1]] != path[depth - 1]:
+                break  # deeper prefixes are not fixed by gamma either
+            if redundant(depth, path[depth]):
+                return depth
+        return None
+
+    def leaf(order: Tuple[int, ...]) -> None:
+        nonlocal first, best, unwind_to
+        enc = _encode_ordering(g, order)
+        if best is None:
+            first = best = (enc, order)
+            return
+        for ref_enc, ref_order in (first, best):
+            if enc == ref_enc:
+                if order != ref_order:
+                    gamma = [0] * n
+                    for a, b in zip(ref_order, order):
+                        gamma[a] = b
+                    unwind_to = found(tuple(gamma))
+                break
+        if enc < best[0]:
+            best = (enc, order)
 
     def recurse(classes: List[int]) -> None:
+        nonlocal unwind_to
         classes = refine(classes)
         cells: Dict[int, List[int]] = {}
         for node, cid in enumerate(classes):
@@ -223,20 +287,53 @@ def canonical_encoding(
                 break
         if target_cell is None:
             # Discrete: class ids are a permutation of 0..n-1; order by id.
-            order = sorted(range(g.num_nodes), key=lambda x: classes[x])
-            enc = _encode_ordering(g, order)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
+            leaf(tuple(sorted(range(n), key=lambda x: classes[x])))
             return
-        next_id = g.num_nodes  # a fresh class id, strictly above existing ones
+        depth = len(path)
+        explored.append([])
+        orbits.append((0, []))
         for node in target_cell:
+            if redundant(depth, node):
+                continue
             child = list(classes)
-            child[node] = next_id
+            child[node] = n  # a fresh class id, strictly above existing ones
+            path.append(node)
             recurse(child)
+            path.pop()
+            if unwind_to is not None:
+                if unwind_to < depth:
+                    break
+                unwind_to = None
+            explored[depth].append(node)
+        explored.pop()
+        orbits.pop()
 
-    recurse(base_colors)
-    assert best[0] is not None
-    return best[0]
+    recurse(_normalize_palette(g.colors))
+    assert best is not None
+    return (n, *best[0]), best[1]
+
+
+def canonical_search(g: Digraph, kernel: Optional[str] = None) -> SearchResult:
+    """Canonical key and canonical node order of ``g`` from one search.
+
+    Memoized on the (hashable, immutable) digraph under the
+    ``canonical_key`` kind: the individualization–refinement search is by
+    far the most expensive step of the Lemma 3.1 ordering, and the
+    batteries ask for the same surrounding digraphs repeatedly.  The
+    result is backend-independent (the kernels agree bit-for-bit), so the
+    memo key carries no ``kernel``.
+    """
+    return _cache.memo_value("canonical_key", g, lambda: _search(g, kernel))
+
+
+def canonical_encoding(g: Digraph, kernel: Optional[str] = None) -> Encoding:
+    """Minimum encoding over all refinement-consistent orderings.
+
+    Implements individualization–refinement; leaves are discrete partitions,
+    each giving a candidate encoding, and the minimum is canonical.
+    """
+    _, colors_row, bits = canonical_search(g, kernel)[0]
+    return colors_row, bits
 
 
 def canonical_key(g: Digraph) -> CanonicalKey:
@@ -245,15 +342,8 @@ def canonical_key(g: Digraph) -> CanonicalKey:
     ``canonical_key(g1) == canonical_key(g2)`` iff the colored digraphs are
     isomorphic; keys of non-isomorphic digraphs compare consistently in
     every process, giving the ``≺`` of Lemma 3.1.
-
-    Memoized on the (hashable, immutable) digraph itself: the
-    individualization–refinement search is by far the most expensive step
-    of the Lemma 3.1 ordering, and the batteries ask for the same
-    surrounding digraphs repeatedly.
     """
-    return _cache.memo_value(
-        "canonical_key", g, lambda: (g.num_nodes, *canonical_encoding(g))
-    )
+    return canonical_search(g)[0]
 
 
 def canonical_node_order(g: Digraph, kernel: Optional[str] = None) -> List[int]:
@@ -261,37 +351,11 @@ def canonical_node_order(g: Digraph, kernel: Optional[str] = None) -> List[int]:
 
     Ties across automorphic nodes are broken arbitrarily but consistently:
     any two runs on isomorphic inputs produce orderings related by an
-    isomorphism.  Used to pick canonical representatives deterministically.
+    isomorphism, and ``order[i]`` is the node at position ``i`` of the
+    canonical encoding.  Used to pick canonical representatives
+    deterministically and to carry per-class results between numberings.
     """
-    base_colors = _normalize_palette(g.colors)
-    refine = _make_refiner(g, kernel)
-    best: List[Optional[Tuple[Tuple[Tuple[int, ...], bytes], Tuple[int, ...]]]] = [None]
-
-    def recurse(classes: List[int]) -> None:
-        classes = refine(classes)
-        cells: Dict[int, List[int]] = {}
-        for node, cid in enumerate(classes):
-            cells.setdefault(cid, []).append(node)
-        target_cell = None
-        for cid in sorted(cells):
-            if len(cells[cid]) > 1:
-                target_cell = cells[cid]
-                break
-        if target_cell is None:
-            order = sorted(range(g.num_nodes), key=lambda x: classes[x])
-            enc = _encode_ordering(g, order)
-            if best[0] is None or enc < best[0][0]:
-                best[0] = (enc, tuple(order))
-            return
-        next_id = g.num_nodes
-        for node in target_cell:
-            child = list(classes)
-            child[node] = next_id
-            recurse(child)
-
-    recurse(base_colors)
-    assert best[0] is not None
-    return list(best[0][1])
+    return list(canonical_search(g, kernel)[1])
 
 
 def digraphs_isomorphic(a: Digraph, b: Digraph) -> bool:
@@ -336,6 +400,26 @@ def underlying_digraph(network: "AnonymousNetwork", node_colors: Optional[Sequen
     return Digraph.build(network.num_nodes, arcs, colors)
 
 
+def _form_bytes(key: CanonicalKey) -> bytes:
+    n, colors_row, bits = key
+    head = f"repro-canonical-v{CANONICAL_HASH_VERSION}|{n}|".encode("ascii")
+    palette = ",".join(map(str, colors_row)).encode("ascii")
+    return head + str(len(palette)).encode("ascii") + b"|" + palette + b"|" + bits
+
+
+def canonical_labeling(
+    network: "AnonymousNetwork", node_colors: Optional[Sequence[Hashable]] = None
+) -> Tuple[bytes, Tuple[int, ...]]:
+    """The canonical form bytes and the canonical node order, from one search.
+
+    ``order[i]`` is the network node at canonical position ``i``, so a
+    result computed on one copy of an instance and stored by canonical
+    position can be carried into any isomorphic copy's numbering.
+    """
+    key, order = canonical_search(underlying_digraph(network, node_colors))
+    return _form_bytes(key), order
+
+
 def canonical_form_bytes(
     network: "AnonymousNetwork", node_colors: Optional[Sequence[Hashable]] = None
 ) -> bytes:
@@ -345,10 +429,7 @@ def canonical_form_bytes(
     adjacency bits``, each length-prefixed, so distinct canonical forms
     never serialize to the same bytes.
     """
-    n, colors_row, bits = canonical_key(underlying_digraph(network, node_colors))
-    head = f"repro-canonical-v{CANONICAL_HASH_VERSION}|{n}|".encode("ascii")
-    palette = ",".join(map(str, colors_row)).encode("ascii")
-    return head + str(len(palette)).encode("ascii") + b"|" + palette + b"|" + bits
+    return canonical_labeling(network, node_colors)[0]
 
 
 def canonical_hash(

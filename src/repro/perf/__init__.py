@@ -8,8 +8,9 @@ funnels through the view-refinement and canonical-form machinery in
 * :mod:`repro.perf.cache` — a per-:class:`~repro.graphs.AnonymousNetwork`
   memo cache shared by ``view_refinement``, ``view_classes``,
   ``views_equal``, ``symmetricity_of_labeling``, ``view_quotient``,
-  ``surrounding_key`` and ``canonical_key``, with hit/miss counters, an
-  explicit ``invalidate`` and an ``uncached()`` escape hatch;
+  ``surrounding_key``, ``canonical_key`` and (once per isomorphism class)
+  ``compute_class_structure``, with hit/miss counters, an explicit
+  ``invalidate`` and an ``uncached()`` escape hatch;
 * :mod:`repro.perf.kernel` — the flat-array refinement kernel: CSR-style
   numpy buffers per network (:func:`flat_network`), the vectorized
   refinement passes behind the ``kernel="numpy" | "worklist" | "baseline"``

@@ -17,9 +17,12 @@ Keying rules
 * The secondary key is ``(kind, key)`` where ``kind`` names the computation
   (``"view_refinement"``, ``"surrounding_key"``, …) and ``key`` carries the
   remaining arguments (normalised node-coloring tuple, root node, …).
-* Non-network-keyed values (canonical keys of hashable
-  :class:`~repro.graphs.canonical.Digraph` objects) go through
-  :func:`memo_value`, a bounded FIFO table.
+* Non-network-keyed values go through :func:`memo_value`, a bounded FIFO
+  table: canonical searches of hashable
+  :class:`~repro.graphs.canonical.Digraph` objects (kind
+  ``"canonical_key"``), and COMPUTE & ORDER results stored by canonical
+  position under the canonical form bytes of the bi-colored map (kind
+  ``"class_structure"``), shared by every isomorphic copy.
 
 Escape hatches
 --------------

@@ -20,15 +20,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graphs.builders import cycle_graph, path_graph, petersen_graph
+from repro.graphs.builders import (
+    complete_bipartite_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+)
 from repro.graphs.canonical import (
     CANONICAL_HASH_VERSION,
     canonical_form_bytes,
     canonical_hash,
     underlying_digraph,
 )
+from repro.graphs.cayley import hypercube_cayley
 from repro.graphs.labelings import random_integer_labeling, relabeled_randomly
 from repro.graphs.network import AnonymousNetwork
+from repro.perf import uncached
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -163,6 +170,35 @@ def test_golden_hash_pins_the_encoding():
     assert canonical_hash(cycle_graph(4), [1, 0, 1, 0]) == (
         "085d2d74f41372dcec337c52fff60ae6c862c086ac5d3185c545e185d80e1093"
     )
+
+
+@pytest.mark.parametrize(
+    "network,homes,digest",
+    [
+        (
+            complete_bipartite_graph(5, 5),
+            (0, 5),
+            "9abe294d68a250189c5d1c76621fdd509c8f89062d33b8715c7a91cf5daafa99",
+        ),
+        (
+            hypercube_cayley(4).network,
+            (0, 3, 5),
+            "d6f4f00c50f885ab76e6ff57ade52f2895b5c3cc5ef5b372516cf0e0897e6d89",
+        ),
+        (
+            petersen_graph(),
+            (0, 1),
+            "43fcbb7de105f0d817bcb479e61a9c9f2337ff3973c288cf1dc60c83fba93af6",
+        ),
+    ],
+    ids=["K5,5{0,5}", "Q4{0,3,5}", "Petersen{0,1}"],
+)
+def test_golden_hashes_of_symmetric_instances(network, homes, digest):
+    """Symmetric instances, where the canonical search prunes hardest,
+    keep the hashes the unpruned search produced."""
+    colors = [1 if v in homes else 0 for v in network.nodes()]
+    with uncached():
+        assert canonical_hash(network, colors) == digest
 
 
 def test_color_row_length_is_validated():
