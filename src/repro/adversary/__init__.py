@@ -44,10 +44,9 @@ from .specs import (
 _LAZY_NAMES = {
     "FAILED": "fuzz",
     "OUTCOMES": "fuzz",
+    "FuzzCampaignSpec": "fuzz",
     "FuzzConfig": "fuzz",
-    "FuzzReport": "fuzz",
     "FuzzRow": "fuzz",
-    "build_cases": "fuzz",
     "failure_signature": "fuzz",
     "run_fuzz": "fuzz",
     "schedule_signature": "fuzz",

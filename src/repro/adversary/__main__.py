@@ -3,12 +3,12 @@
 Three subcommands:
 
 * ``fuzz`` — sweep the interleaving grid over the Table-1 instance set,
-  print the classified report, optionally write it as JSON and minimize
+  print the classified result, optionally write it as JSON and minimize
   any failures into reproducer artifacts; exits non-zero if any case
   lands in ``silent-wrong-answer`` or ``schedule-failure`` — the CI
   contract of the adversarial suite.
-* ``minimize <report.json>`` — re-run ddmin on the failing rows of a fuzz
-  report written with ``fuzz --out`` and save the reproducers.
+* ``minimize <result.json>`` — re-run ddmin on the failing rows of a fuzz
+  result written with ``fuzz --out`` and save the reproducers.
 * ``repro <artifact.json>`` — load a reproducer artifact, re-execute it,
   and exit non-zero unless the recorded failure signature fires again.
 """
@@ -54,27 +54,26 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         fault_every=args.fault_every,
         max_steps=args.max_steps,
     )
-    report = run_fuzz(
+    result = run_fuzz(
         runs=args.runs,
         config=config,
         workers=args.workers,
         quick=args.quick,
         ledger=args.ledger,
-        stream=args.stream,
         shard=args.shard,
         resume=args.resume,
         max_cases=args.max_cases,
     )
-    print(report.render())
+    print(result.render())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         print(f"report written to {args.out}")
-    if args.artifacts and report.failures:
+    if args.artifacts and result.failures:
         _minimize_and_save(
-            report.failures, config, args.artifacts, args.budget
+            result.failures, config, args.artifacts, args.budget
         )
-    return 0 if report.ok else 1
+    return 0 if result.ok else 1
 
 
 def _rows_from_report(path: str):
@@ -84,7 +83,7 @@ def _rows_from_report(path: str):
     rows = []
     # Instance specs are keyed by label in the Table-1 battery.
     by_label = {s.label: s for s in table1_battery()}
-    for entry in data.get("rows", []):
+    for entry in data.get("failures", []):
         if "choices" not in entry:
             continue
         label = entry["instance"]
@@ -158,7 +157,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="pair every Nth case with a random fault plan (0: none)",
     )
     fuzz.add_argument("--max-steps", type=int, default=None)
-    fuzz.add_argument("--out", type=str, default=None, help="JSON report path")
+    fuzz.add_argument("--out", type=str, default=None, help="JSON result path")
     fuzz.add_argument(
         "--artifacts",
         type=str,
@@ -172,13 +171,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="append one run-ledger row per case to this SQLite database "
         "(see python -m repro.obs ledger)",
-    )
-    fuzz.add_argument(
-        "--stream",
-        action="store_true",
-        help="streaming report: retain only failing rows (their recorded "
-        "choices still feed --artifacts); counts come from the campaign "
-        "engine's checkpointed counters",
     )
     fuzz.add_argument(
         "--shard",
@@ -201,9 +193,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     fuzz.set_defaults(func=_cmd_fuzz)
 
     minimize = sub.add_parser(
-        "minimize", help="shrink the failing rows of a fuzz report"
+        "minimize", help="shrink the failing rows of a fuzz result"
     )
-    minimize.add_argument("report", help="JSON report from fuzz --out")
+    minimize.add_argument("report", help="JSON result from fuzz --out")
     minimize.add_argument("--artifacts", type=str, default="reproducers")
     minimize.add_argument("--seed", type=int, default=0)
     minimize.add_argument("--max-steps", type=int, default=None)

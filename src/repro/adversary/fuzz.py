@@ -22,9 +22,9 @@ Failing rows retain their recorded choices and runnable sizes, ready for
 
 Determinism: per-case seeds derive from :func:`zlib.crc32` over
 ``(config.seed, case index, instance label, scheduler kind)`` and the
-battery runner preserves input order, so a fuzz report is a pure function
-of its configuration for any worker count.  The case seed also keys the
-runtime's *port shuffle* — the other half of the environment's
+battery runner preserves input order, so a sweep's rows are a pure
+function of its configuration for any worker count.  The case seed also
+keys the runtime's *port shuffle* — the other half of the environment's
 nondeterminism.  With a frozen port order every agent's tour is identical
 across runs and whole families of races (two searchers heading for the
 same waiter first) are structurally unreachable no matter the schedule;
@@ -34,20 +34,17 @@ varying it per case puts those interleavings back in scope.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..campaign.engine import (
     CampaignEngine,
+    CampaignRunResult,
     CampaignSpec,
-    FailureKeeper,
     MetricsStage,
     OutcomeCounter,
-    RowCollector,
-    Shard,
     SignatureDedup,
     Stage,
 )
@@ -55,7 +52,7 @@ from ..core.elect import ElectAgent
 from ..core.feasibility import elect_prediction
 from ..errors import AdversaryError, ReproError
 from ..obs import flight
-from ..obs.ledger import LedgerRow, RunLedger, open_ledger
+from ..obs.ledger import LedgerRow
 from ..fault.campaign import (
     DETECTED,
     IMPOSSIBLE,
@@ -129,11 +126,11 @@ class FuzzRow:
     steps: int = 0
     #: Total agent moves (deterministic per case; feeds the run ledger's
     #: moves-vs-budget column, deliberately absent from :meth:`to_dict`
-    #: so existing report JSON stays byte-stable).
+    #: so the spill's record shape stays stable).
     moves: int = 0
     schedule_len: int = 0
     signature: str = ""
-    #: Set by ``run_fuzz`` after signature dedup.
+    #: Set by the :class:`~repro.campaign.SignatureDedup` stage.
     distinct: bool = False
     #: Retained only for failing rows (minimizer input).
     choices: Optional[Tuple[int, ...]] = None
@@ -163,110 +160,6 @@ class FuzzRow:
         return out
 
 
-@dataclass
-class FuzzReport:
-    """All rows of one fuzz sweep plus the coverage counters.
-
-    Like :class:`repro.fault.campaign.CampaignReport`, this has a legacy
-    (collect) shape holding every row and a streaming shape holding only
-    the failing rows, with the headline numbers carried by the engine's
-    checkpointed counters in the ``streamed_*`` fields.
-    """
-
-    rows: List[FuzzRow]
-    seed: int
-    #: The sweep's agent kwargs — recorded so ``minimize`` can rebuild the
-    #: exact failing configuration from the JSON report alone.
-    agent_kwargs: Tuple[Tuple[str, Any], ...] = ()
-    #: Streaming mode: outcome histogram from the engine (``None``: legacy).
-    streamed_counts: Optional[Dict[str, int]] = None
-    #: Streaming mode: total cases observed (resumed + evaluated).
-    streamed_total: Optional[int] = None
-    #: Streaming mode: distinct schedule signatures seen.
-    streamed_distinct: Optional[int] = None
-
-    @property
-    def streamed(self) -> bool:
-        return self.streamed_counts is not None
-
-    @property
-    def total_cases(self) -> int:
-        if self.streamed_total is not None:
-            return self.streamed_total
-        return len(self.rows)
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        out = {name: 0 for name in OUTCOMES}
-        if self.streamed_counts is not None:
-            for name, n in self.streamed_counts.items():
-                out[name] = out.get(name, 0) + int(n)
-            return out
-        for row in self.rows:
-            out[row.outcome] = out.get(row.outcome, 0) + 1
-        return out
-
-    @property
-    def failures(self) -> List[FuzzRow]:
-        return [r for r in self.rows if r.failed]
-
-    @property
-    def distinct_schedules(self) -> int:
-        if self.streamed_distinct is not None:
-            return self.streamed_distinct
-        return sum(1 for r in self.rows if r.distinct)
-
-    @property
-    def duplicate_schedules(self) -> int:
-        return self.total_cases - self.distinct_schedules
-
-    @property
-    def ok(self) -> bool:
-        """The sweep's verdict: no silent wrong answer, no schedule bug."""
-        if self.streamed:
-            counts = self.counts
-            return (
-                counts.get(FAILED, 0) == 0 and counts.get(IMPOSSIBLE, 0) == 0
-            )
-        return not self.failures
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "agent_kwargs": dict(self.agent_kwargs),
-            "cases": self.total_cases,
-            "counts": self.counts,
-            "distinct_schedules": self.distinct_schedules,
-            "duplicate_schedules": self.duplicate_schedules,
-            "ok": self.ok,
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def render(self) -> str:
-        mode = " [streamed]" if self.streamed else ""
-        lines = [
-            f"interleaving fuzz: {self.total_cases} cases, "
-            f"seed={self.seed}{mode}"
-        ]
-        counts = self.counts
-        for name in OUTCOMES:
-            lines.append(f"  {name:>22}: {counts.get(name, 0)}")
-        lines.append(
-            f"  distinct interleavings: {self.distinct_schedules}  "
-            f"(dedup hits: {self.duplicate_schedules})"
-        )
-        for row in self.failures:
-            lines.append(
-                f"  FAILURE #{row.index} {row.spec.label} / "
-                f"{row.scheduler.get('kind')}: {row.detail}"
-            )
-        lines.append("verdict: " + ("OK" if self.ok else "FAILED"))
-        return "\n".join(lines)
-
-
 def _case_seed(seed: int, index: int, label: str, kind: str) -> int:
     """Stable per-case seed (no ``hash()``: must survive process hopping)."""
     return zlib.crc32(f"{seed}:{index}:{label}:{kind}".encode("utf-8"))
@@ -278,70 +171,6 @@ def _case_context(
     """The case's flight trace context — deterministic like the case seed,
     so ledger trace ids survive worker-count changes."""
     return flight.TraceContext.mint("fuzz-case", f"{seed}:{index}:{label}:{kind}")
-
-
-def write_fuzz_ledger(
-    ledger: Any,
-    report: "FuzzReport",
-    tasks: Sequence[
-        Tuple[int, InstanceSpec, Dict[str, Any], Optional[FaultPlan], FuzzConfig]
-    ],
-    elapsed: float = 0.0,
-) -> int:
-    """Append one ``kind="fuzz"`` ledger row per fuzz case.
-
-    Mirrors :func:`repro.fault.campaign.write_campaign_ledger`: every
-    column but ``wall_ms`` is deterministic in the sweep config, so
-    ledger digests are worker-count independent.  Returns the number of
-    rows written.
-    """
-    from ..graphs.canonical import canonical_hash
-    from ..trace.invariants import THEOREM31_CONSTANT
-
-    led = open_ledger(ledger)
-    campaign = f"fuzz:seed={report.seed}:runs={len(tasks)}"
-    wall_each = (elapsed / len(tasks) * 1000.0) if tasks else 0.0
-    cache: Dict[str, Tuple[str, float]] = {}  # label -> (chash, budget)
-    rows: List[LedgerRow] = []
-    for row, (index, spec, sched_spec, _plan, cfg) in zip(report.rows, tasks):
-        cached = cache.get(spec.label)
-        if cached is None:
-            network, placement = spec.build()
-            chash = canonical_hash(network, placement.bicoloring(network))
-            budget = (
-                THEOREM31_CONSTANT
-                * placement.num_agents
-                * max(1, network.num_edges)
-            )
-            cached = (chash, budget)
-            cache[spec.label] = cached
-        chash, budget = cached
-        kind = str(sched_spec.get("kind"))
-        ctx = _case_context(cfg.seed, index, spec.label, kind)
-        rows.append(
-            LedgerRow(
-                kind="fuzz",
-                campaign=campaign,
-                case_index=row.index,
-                instance=spec.label,
-                family=kind,
-                chash=chash,
-                seed=row.case_seed,
-                predicted="electable" if row.predicted else "impossible",
-                outcome=row.outcome,
-                detail=row.detail,
-                moves=row.moves,
-                budget=budget,
-                steps=row.steps,
-                wall_ms=round(wall_each, 3),
-                trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-            )
-        )
-    written = led.append(rows)
-    if not isinstance(ledger, RunLedger):
-        led.close()
-    return written
 
 
 def failure_signature(exc: BaseException) -> str:
@@ -411,51 +240,20 @@ def _evaluate_case(
     return row
 
 
-def build_cases(
-    instances: Sequence[InstanceSpec],
-    runs: int,
-    config: FuzzConfig,
-) -> List[Tuple[int, InstanceSpec, Dict[str, Any], Optional[FaultPlan], FuzzConfig]]:
-    """The deterministic case grid: instances × scheduler specs (± plans)."""
-    if not instances:
-        raise AdversaryError("fuzz sweep needs at least one instance")
-    if runs < 1:
-        raise AdversaryError("fuzz sweep needs runs >= 1")
-    specs = scheduler_specs(-(-runs // len(instances)), seed=config.seed)
-    shapes = {inst.label: inst.build() for inst in instances}
-    tasks = []
-    for i in range(runs):
-        inst = instances[i % len(instances)]
-        sched = specs[i // len(instances)]
-        plan: Optional[FaultPlan] = None
-        if config.fault_every and (i + 1) % config.fault_every == 0:
-            network, placement = shapes[inst.label]
-            plan = random_fault_plans(
-                1,
-                num_agents=placement.num_agents,
-                num_nodes=network.num_nodes,
-                seed=_case_seed(
-                    config.seed, i, inst.label, str(sched.get("kind"))
-                ),
-            )[0]
-        tasks.append((i, inst, sched, plan, config))
-    return tasks
-
-
 class FuzzCampaignSpec(CampaignSpec):
     """The interleaving grid as a lazy :class:`~repro.campaign.CampaignSpec`.
 
-    Same deterministic grid :func:`build_cases` materializes —
-    ``instances[i % n] × scheduler_specs[i // n]`` with a plan on every
-    ``fault_every``-th case — expressed case-by-case so a shard touches
-    only the indices it owns.  Schedule-signature dedup runs as a
-    checkpointed :class:`~repro.campaign.SignatureDedup` stage, so a
-    resumed sweep's coverage counters continue from the committed prefix
-    instead of resetting.
+    Case ``i`` is ``instances[i % n] × scheduler_specs[i // n]``, with a
+    random fault plan on every ``fault_every``-th case, built case by
+    case so a shard touches only the indices it owns.  Schedule-signature
+    dedup runs as a checkpointed :class:`~repro.campaign.SignatureDedup`
+    stage, so a resumed sweep's coverage counters continue from the
+    committed prefix instead of resetting.
     """
 
     kind = "fuzz"
     span_name = "fuzz.case"
+    outcomes = OUTCOMES
 
     def __init__(
         self,
@@ -463,7 +261,6 @@ class FuzzCampaignSpec(CampaignSpec):
         runs: int = 200,
         config: Optional[FuzzConfig] = None,
         quick: bool = False,
-        collect: bool = False,
     ):
         self.config = config or FuzzConfig()
         if instances is None:
@@ -482,10 +279,6 @@ class FuzzCampaignSpec(CampaignSpec):
         self._ledger_cache: Dict[str, Tuple[str, float]] = {}
         self.counter = OutcomeCounter()
         self.dedup = SignatureDedup(attr="signature", flag="distinct")
-        self.failures = FailureKeeper(self.case_failed)
-        self.collector: Optional[RowCollector] = (
-            RowCollector() if collect else None
-        )
 
     @property
     def total(self) -> int:
@@ -565,24 +358,36 @@ class FuzzCampaignSpec(CampaignSpec):
             span_id=ctx.span_id,
         )
 
-    def spill_record(self, index: int, row: FuzzRow) -> Dict[str, Any]:
-        record = row.to_dict()
-        record["case_index"] = index
-        return record
-
     def case_failed(self, row: FuzzRow) -> bool:
         return row.failed
 
+    def failure_line(self, row: FuzzRow) -> str:
+        return (
+            f"FAILED #{row.index} {row.spec.label} / "
+            f"{row.scheduler.get('kind')} [{row.outcome}]: {row.detail}"
+        )
+
     def stages(self) -> Sequence[Stage]:
-        stages: List[Stage] = [
+        return [
             self.counter,
             self.dedup,  # must precede metrics: it sets row.distinct
             MetricsStage(self._count),
-            self.failures,
         ]
-        if self.collector is not None:
-            stages.append(self.collector)
-        return stages
+
+    def summarize(self, stages: Sequence[Stage]) -> Dict[str, Any]:
+        # ``agent_kwargs`` lets ``python -m repro.adversary minimize``
+        # rebuild the sweep's exact agents from the ``--out`` JSON alone.
+        return {
+            "distinct_schedules": self.dedup.distinct,
+            "duplicate_schedules": self.dedup.duplicates,
+            "agent_kwargs": dict(self.config.agent_kwargs),
+        }
+
+    def render_summary(self, extras: Dict[str, Any]) -> str:
+        return (
+            f"  distinct interleavings: {extras['distinct_schedules']}  "
+            f"(dedup hits: {extras['duplicate_schedules']})"
+        )
 
     @staticmethod
     def _count(row: FuzzRow) -> None:
@@ -613,28 +418,23 @@ def run_fuzz(
     workers: Optional[int] = 1,
     quick: bool = False,
     ledger: Optional[Any] = None,
-    stream: bool = False,
     shard: Optional[Any] = None,
     resume: bool = False,
     checkpoint_every: int = 64,
     max_cases: Optional[int] = None,
     spill: Optional[str] = None,
-) -> FuzzReport:
-    """Sweep the interleaving grid; return the classified report.
+) -> CampaignRunResult:
+    """Sweep the interleaving grid on the campaign engine.
 
     Deterministic in ``(instances, runs, config)`` — worker count only
     changes wall-clock time (the battery runner preserves input order and
-    every seed derives per case).  The sweep runs on the
-    :class:`~repro.campaign.CampaignEngine`:
-
-    * ``stream=False`` (default) keeps the legacy full-report shape;
-    * ``stream=True`` retains only failing rows (with their recorded
-      choices, so :mod:`repro.adversary.minimize` still has its input)
-      while counts and schedule coverage come from checkpointed stage
-      counters — flat memory at any ``runs``;
-    * ``shard`` / ``resume`` / ``checkpoint_every`` / ``max_cases`` /
-      ``spill`` pass straight to the engine (``shard`` accepts a
-      :class:`~repro.campaign.Shard` or an ``"i/N"`` string).
+    every seed derives per case).  The result carries the checkpointed
+    outcome counts, the schedule coverage and ``agent_kwargs``
+    (``extras``), and the failing rows with their recorded choices, which
+    :mod:`repro.adversary.minimize` shrinks; every row lands in
+    ``ledger`` and ``spill``.  ``shard`` (a :class:`~repro.campaign.Shard`
+    or an ``"i/N"`` string), ``resume``, ``checkpoint_every``,
+    ``max_cases`` and ``spill`` pass straight to the engine.
 
     ``ledger`` (a :class:`~repro.obs.ledger.RunLedger` or a path) appends
     one row per case, committed chunk-atomically with the shard's resume
@@ -642,18 +442,9 @@ def run_fuzz(
     its own deterministic trace context and ships its spans back to the
     sweep's recorder.
     """
-    cfg = config or FuzzConfig()
     spec = FuzzCampaignSpec(
-        instances=instances,
-        runs=runs,
-        config=cfg,
-        quick=quick,
-        collect=not stream,
+        instances=instances, runs=runs, config=config, quick=quick
     )
-    if shard is None:
-        shard = Shard()
-    elif not isinstance(shard, Shard):
-        shard = Shard.parse(shard)
     engine = CampaignEngine(
         spec,
         ledger=ledger,
@@ -663,19 +454,4 @@ def run_fuzz(
         max_cases=max_cases,
         spill=spill,
     )
-    result = engine.run(resume=resume)
-    if stream:
-        return FuzzReport(
-            rows=list(spec.failures.kept),
-            seed=cfg.seed,
-            agent_kwargs=cfg.agent_kwargs,
-            streamed_counts=dict(result.counts),
-            streamed_total=result.resumed + result.processed,
-            streamed_distinct=spec.dedup.distinct,
-        )
-    assert spec.collector is not None
-    return FuzzReport(
-        rows=list(spec.collector.rows),
-        seed=cfg.seed,
-        agent_kwargs=cfg.agent_kwargs,
-    )
+    return engine.run(resume=resume)

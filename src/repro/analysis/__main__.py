@@ -132,34 +132,34 @@ def _experiment_trace(quick: bool) -> None:
 
 
 def _experiment_faults(quick: bool) -> None:
-    from ..fault.campaign import run_campaign
+    from ..fault.campaign import IMPOSSIBLE, run_campaign
 
-    report = run_campaign(
+    result = run_campaign(
         pairs=40 if quick else 208, workers=_WORKERS, quick=quick
     )
-    print(report.render())
+    print(result.render())
     print(
         "\nno-silent-wrong-answer oracle holds: "
-        f"{not report.impossible_rows}"
+        f"{result.counts[IMPOSSIBLE] == 0}"
     )
 
 
 def _experiment_adversary(quick: bool) -> None:
     from ..adversary import fuzz_stats, run_fuzz
 
-    report = run_fuzz(
+    result = run_fuzz(
         runs=60 if quick else 500, workers=_WORKERS, quick=quick
     )
-    print(report.render())
+    print(result.render())
     stats = fuzz_stats()
     print(
         render_kv(
             "schedule-space coverage",
             [
-                ("distinct interleavings", report.distinct_schedules),
-                ("dedup hits", report.duplicate_schedules),
-                ("silent wrong answers", report.counts["silent-wrong-answer"]),
-                ("schedule failures", report.counts["schedule-failure"]),
+                ("distinct interleavings", result.extras["distinct_schedules"]),
+                ("dedup hits", result.extras["duplicate_schedules"]),
+                ("silent wrong answers", result.counts["silent-wrong-answer"]),
+                ("schedule failures", result.counts["schedule-failure"]),
                 ("runs counted", sum(stats["runs"].values())),
             ],
         )

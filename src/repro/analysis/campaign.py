@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..campaign.engine import (
     CampaignEngine,
     CampaignRunResult,
     CampaignSpec,
-    FailureKeeper,
     OutcomeCounter,
-    RowCollector,
-    Shard,
     Stage,
 )
 from ..core.feasibility import elect_prediction
@@ -134,6 +131,7 @@ class BatteryCampaignSpec(CampaignSpec):
 
     kind = "battery"
     span_name = "battery.case"
+    outcomes = (ELECTED, DETECTED, IMPOSSIBLE)
 
     def __init__(
         self,
@@ -141,7 +139,6 @@ class BatteryCampaignSpec(CampaignSpec):
         repetitions: int = 1,
         seed: int = 0,
         instances: Optional[Sequence[Instance]] = None,
-        collect: bool = False,
     ):
         if repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -156,10 +153,6 @@ class BatteryCampaignSpec(CampaignSpec):
         self.campaign = f"battery:{battery}:seed={seed}:reps={repetitions}"
         self._chash_cache: Dict[str, Tuple[str, float]] = {}
         self.counter = OutcomeCounter()
-        self.failures = FailureKeeper(self.case_failed)
-        self.collector: Optional[RowCollector] = (
-            RowCollector() if collect else None
-        )
 
     @property
     def total(self) -> int:
@@ -214,21 +207,13 @@ class BatteryCampaignSpec(CampaignSpec):
             span_id=ctx.span_id,
         )
 
-    def spill_record(self, index: int, row: BatteryRow) -> Dict[str, Any]:
-        record = row.to_dict()
-        record["case_index"] = index
-        return record
-
     def case_failed(self, row: BatteryRow) -> bool:
         # Strict: the batteries run fault-free, so anything short of the
         # predicted outcome (including loud failures) fails the sweep.
         return row.outcome != ELECTED
 
     def stages(self) -> Sequence[Stage]:
-        stages: List[Stage] = [self.counter, self.failures]
-        if self.collector is not None:
-            stages.append(self.collector)
-        return stages
+        return [self.counter]
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -254,22 +239,15 @@ def run_battery_campaign(
     max_cases: Optional[int] = None,
     spill: Optional[str] = None,
 ) -> CampaignRunResult:
-    """Sweep a named battery on the campaign engine; return the run result.
-
-    The new-style frontend: no in-memory report object, just the engine's
-    :class:`~repro.campaign.CampaignRunResult` (streamed counts, resume
-    accounting, ledger digest) plus whatever landed in the ledger/spill.
-    """
+    """Sweep a named battery on the campaign engine; return the run result
+    (streamed counts, failing rows, resume accounting, ledger digest).
+    Every row lands in ``ledger`` and ``spill``."""
     spec = BatteryCampaignSpec(
         battery=battery,
         repetitions=repetitions,
         seed=seed,
         instances=instances,
     )
-    if shard is None:
-        shard = Shard()
-    elif not isinstance(shard, Shard):
-        shard = Shard.parse(shard)
     engine = CampaignEngine(
         spec,
         ledger=ledger,

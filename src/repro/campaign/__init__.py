@@ -1,25 +1,26 @@
 """repro.campaign — the streaming, checkpointed, resumable sweep engine.
 
-One engine, three frontends: :mod:`repro.fault` campaigns,
-:mod:`repro.adversary` fuzzing, and :mod:`repro.analysis` batteries all
-describe their sweeps as :class:`CampaignSpec` grids and let
+One engine, four frontends: :mod:`repro.fault` crash and Byzantine
+campaigns, :mod:`repro.adversary` fuzzing, and :mod:`repro.analysis`
+batteries all describe their sweeps as :class:`CampaignSpec` grids, let
 :class:`CampaignEngine` stream the cases through workers into the
-:class:`~repro.obs.ledger.RunLedger`.  See :mod:`repro.campaign.engine`
-for the determinism/checkpoint contract and ``python -m repro.campaign``
-for the CLI (``run`` / ``merge`` / ``digest`` / ``status``).
+:class:`~repro.obs.ledger.RunLedger`, and report with its
+:class:`CampaignRunResult`.  See :mod:`repro.campaign.engine` for the
+determinism/checkpoint contract and ``python -m repro.campaign`` for the
+CLI (``run`` / ``merge`` / ``digest`` / ``status``).
 """
 
 from .engine import (
+    FAILURE_LIMIT,
     CampaignEngine,
     CampaignRunResult,
     CampaignSpec,
-    FailureKeeper,
+    MetricsStage,
     OutcomeCounter,
-    PredicateCounter,
-    RowCollector,
     Shard,
     SignatureDedup,
     Stage,
+    Tally,
     read_spill,
 )
 
@@ -27,13 +28,12 @@ __all__ = [
     "CampaignEngine",
     "CampaignRunResult",
     "CampaignSpec",
-    "FailureKeeper",
+    "FAILURE_LIMIT",
     "MetricsStage",
     "OutcomeCounter",
-    "PredicateCounter",
-    "RowCollector",
     "Shard",
     "SignatureDedup",
     "Stage",
+    "Tally",
     "read_spill",
 ]

@@ -32,7 +32,7 @@ from typing import Any, List, Optional
 
 from ..errors import CampaignError, ReproError
 from ..obs.ledger import RunLedger
-from .engine import CampaignEngine, CampaignSpec, Shard
+from .engine import CampaignEngine, CampaignSpec
 
 #: The frontends ``run`` can drive, by name.
 FRONTENDS = ("fault", "fuzz", "battery", "byzantine")
@@ -52,7 +52,7 @@ def _parse_powers(text: str) -> tuple:
 
 
 def _build_spec(args: argparse.Namespace) -> CampaignSpec:
-    """Build the chosen frontend's spec (streaming shape: no collector)."""
+    """Build the chosen frontend's spec."""
     if args.frontend == "fault":
         from ..fault.campaign import CampaignConfig, FaultCampaignSpec
 
@@ -100,7 +100,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec,
         ledger=args.ledger,
         workers=args.workers,
-        shard=Shard.parse(args.shard),
+        shard=args.shard,
         checkpoint_every=args.checkpoint_every,
         max_cases=args.max_cases,
         spill=args.spill,

@@ -18,8 +18,9 @@ This module is the one engine they are all thin frontends to now:
   a time, never the whole matrix.
 * **Streaming results** — classified rows append incrementally to the
   :class:`~repro.obs.ledger.RunLedger` (plus an optional JSONL spill);
-  per-case results are discarded as soon as the stages have seen them
-  unless a stage chooses to retain them.
+  per-case results are discarded as soon as the stages have seen them,
+  except the first :data:`FAILURE_LIMIT` failing ones, which the run
+  result keeps for reports and the minimizer.
 * **Checkpoints and exact resume** — after each chunk the engine commits
   the chunk's ledger rows *and* the shard's advanced checkpoint (last
   durably-committed case position, config fingerprint, resumable stage
@@ -34,7 +35,7 @@ This module is the one engine they are all thin frontends to now:
   merged afterwards (:meth:`~repro.obs.ledger.RunLedger.merge_from`);
   either way the union of rows hashes identically to a one-shard run.
 * **Pluggable stages** — classification counting, schedule-signature
-  dedup, failure retention and metrics are :class:`Stage` objects that
+  dedup, summed tallies and metrics are :class:`Stage` objects that
   observe results strictly in case order; stages that implement
   ``state_dict``/``load_state`` have their state carried inside the
   checkpoint, so streamed counts survive a crash too.
@@ -68,16 +69,25 @@ __all__ = [
     "CampaignEngine",
     "CampaignRunResult",
     "CampaignSpec",
-    "FailureKeeper",
+    "FAILURE_LIMIT",
     "MetricsStage",
     "OutcomeCounter",
-    "PredicateCounter",
-    "RowCollector",
     "Shard",
     "SignatureDedup",
     "Stage",
+    "Tally",
     "read_spill",
 ]
+
+#: Failing results a run keeps in memory (``CampaignRunResult.failures``);
+#: ``failed`` still counts every one.
+FAILURE_LIMIT = 1024
+
+
+def _record(result: Any) -> Dict[str, Any]:
+    """JSON projection of one result: its ``to_dict()``, else its repr."""
+    to_dict = getattr(result, "to_dict", None)
+    return to_dict() if callable(to_dict) else {"result": repr(result)}
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +103,8 @@ class Stage:
     that wants its accumulated state to survive a kill/resume implements
     ``state_dict``/``load_state`` (JSON-serializable payloads only); the
     engine persists that state inside the shard's checkpoint, atomically
-    with the rows the state reflects.
+    with the rows the state reflects, keyed by ``name`` (the key
+    ``"engine"`` holds the engine's own failure count).
     """
 
     name = "stage"
@@ -129,18 +140,18 @@ class OutcomeCounter(Stage):
         self.counts = {k: int(v) for k, v in state.get("counts", {}).items()}
 
 
-class PredicateCounter(Stage):
-    """Streamed count of results satisfying a predicate (e.g. audit
-    failures), checkpointed so resumed totals stay exact."""
+class Tally(Stage):
+    """Streamed sum of a per-result number (restarts, stalls; a predicate
+    such as "has audit failures" sums as 0/1), checkpointed so resumed
+    totals stay exact."""
 
-    def __init__(self, name: str, predicate: Callable[[Any], bool]):
+    def __init__(self, name: str, value: Callable[[Any], int]):
         self.name = name
-        self.predicate = predicate
+        self.value = value
         self.count = 0
 
     def observe(self, index: int, result: Any) -> None:
-        if self.predicate(result):
-            self.count += 1
+        self.count += int(self.value(result))
 
     def state_dict(self) -> Dict[str, Any]:
         return {"count": self.count}
@@ -194,40 +205,6 @@ class SignatureDedup(Stage):
         self.duplicates = max(0, observed_total - self.distinct)
 
 
-class FailureKeeper(Stage):
-    """Retain (a bounded number of) failing results for post-processing
-    (reports, ddmin minimization) without keeping the whole sweep alive."""
-
-    name = "failures"
-
-    def __init__(self, predicate: Callable[[Any], bool], limit: int = 1024):
-        self.predicate = predicate
-        self.limit = limit
-        self.kept: List[Any] = []
-        self.dropped = 0
-
-    def observe(self, index: int, result: Any) -> None:
-        if self.predicate(result):
-            if len(self.kept) < self.limit:
-                self.kept.append(result)
-            else:
-                self.dropped += 1
-
-
-class RowCollector(Stage):
-    """Retain every result (legacy in-memory report mode).  Deliberately
-    NOT checkpoint-persisted: collecting defeats streaming, so resumable
-    runs should use :class:`FailureKeeper` + the ledger instead."""
-
-    name = "collect"
-
-    def __init__(self) -> None:
-        self.rows: List[Any] = []
-
-    def observe(self, index: int, result: Any) -> None:
-        self.rows.append(result)
-
-
 class MetricsStage(Stage):
     """Feed each result to a metrics hook (always-enabled collectors)."""
 
@@ -264,11 +241,14 @@ class CampaignSpec:
       result (coordinator-side; every column except ``wall_ms`` must be
       deterministic in the config so digests are reproducible).
     * ``stages()`` — the in-order observers; build them in ``__init__``
-      and keep references if the frontend reads them afterwards.
+      and keep references if ``summarize`` reads them afterwards.
     """
 
     #: Ledger ``kind`` column and checkpoint namespace.
     kind: str = "campaign"
+    #: The outcome vocabulary: ``CampaignRunResult.counts`` lists every
+    #: name, zeros included, in this order (then any others, sorted).
+    outcomes: Tuple[str, ...] = ()
     #: Flight-recorder span name for one case.
     span_name: str = "campaign.case"
     #: Ledger ``campaign`` column; set by ``__init__`` of subclasses.
@@ -294,14 +274,17 @@ class CampaignSpec:
 
     def spill_record(self, index: int, result: Any) -> Optional[Dict[str, Any]]:
         """JSONL spill projection of one result (None: skip the case)."""
-        to_dict = getattr(result, "to_dict", None)
-        record = to_dict() if callable(to_dict) else {"result": repr(result)}
+        record = _record(result)
         record.setdefault("case_index", index)
         return record
 
     def case_failed(self, result: Any) -> bool:
         """Does this case fail the campaign (drives the exit code)?"""
         return False
+
+    def failure_line(self, result: Any) -> str:
+        """One line naming a failing result in the rendered report."""
+        return f"FAILED {result!r}"
 
     def stages(self) -> Sequence[Stage]:
         return ()
@@ -380,17 +363,24 @@ class CampaignRunResult:
     processed: int
     #: Cases skipped because a checkpoint already covered them.
     resumed: int
-    #: Failing cases observed by this invocation (``spec.case_failed``).
+    #: Failing cases (``spec.case_failed``), checkpoint-accurate across
+    #: resume like ``counts``, so ``ok`` judges the whole shard.
     failed: int
-    #: Streamed classification counts (checkpoint-accurate across resume).
+    #: Streamed classification counts (checkpoint-accurate across resume):
+    #: the spec's whole outcome vocabulary, zeros included.
     counts: Dict[str, int] = field(default_factory=dict)
+    #: The first :data:`FAILURE_LIMIT` failing results of this invocation,
+    #: in case order (report and minimizer material).
+    failures: List[Any] = field(default_factory=list)
     elapsed: float = 0.0
     #: ``ledger.digest(kind, campaign)`` after the run (None: no ledger).
     digest: Optional[str] = None
     ledger_rows: Optional[int] = None
     #: Frontend-specific summary keys (``spec.summarize``), merged into
-    #: ``to_dict`` and rendered via ``summary_text``.
+    #: ``to_dict``.
     extras: Dict[str, Any] = field(default_factory=dict)
+    #: ``spec.render_summary(extras)`` plus one ``spec.failure_line`` per
+    #: kept failure, appended to ``render``.
     summary_text: Optional[str] = None
 
     @property
@@ -412,6 +402,7 @@ class CampaignRunResult:
             "resumed": self.resumed,
             "failed": self.failed,
             "counts": dict(self.counts),
+            "failures": [_record(result) for result in self.failures],
             "elapsed": round(self.elapsed, 3),
             "digest": self.digest,
             "ledger_rows": self.ledger_rows,
@@ -427,8 +418,8 @@ class CampaignRunResult:
             f"{self.scheduled} scheduled of {self.total} total "
             f"({self.elapsed:.1f}s)"
         ]
-        for name in sorted(self.counts):
-            lines.append(f"  {name:>22}: {self.counts[name]}")
+        for name, count in self.counts.items():
+            lines.append(f"  {name:>22}: {count}")
         if self.digest is not None:
             lines.append(f"  ledger rows={self.ledger_rows}  digest={self.digest}")
         if self.summary_text:
@@ -454,7 +445,8 @@ class CampaignEngine:
     workers:
         :class:`~repro.perf.parallel.ParallelBatteryRunner` fan-out.
     shard:
-        This process's :class:`Shard` address.
+        This process's :class:`Shard` address, or its ``"i/N"`` form
+        (``None``: the whole grid).
     checkpoint_every:
         Chunk size: cases evaluated between durable commits.  Also the
         upper bound on re-done work after a kill.
@@ -473,7 +465,7 @@ class CampaignEngine:
         spec: CampaignSpec,
         ledger: Optional[Any] = None,
         workers: Optional[int] = 1,
-        shard: Shard = Shard(),
+        shard: Optional[Any] = None,
         checkpoint_every: int = 64,
         max_cases: Optional[int] = None,
         spill: Optional[str] = None,
@@ -487,6 +479,10 @@ class CampaignEngine:
         self.spec = spec
         self.ledger = ledger
         self.workers = workers
+        if shard is None:
+            shard = Shard()
+        elif not isinstance(shard, Shard):
+            shard = Shard.parse(shard)
         self.shard = shard
         self.checkpoint_every = checkpoint_every
         self.max_cases = max_cases
@@ -529,7 +525,9 @@ class CampaignEngine:
         if self.ledger is not None:
             led = open_ledger(self.ledger)
             owns_ledger = led is not self.ledger
-        start_pos = self._load_checkpoint(led, fingerprint, stages, resume)
+        start_pos, failed = self._load_checkpoint(
+            led, fingerprint, stages, resume
+        )
 
         counter = next(
             (s for s in stages if isinstance(s, OutcomeCounter)), None
@@ -541,7 +539,7 @@ class CampaignEngine:
         runner = ParallelBatteryRunner(workers=self.workers)
         spill_fh: Optional[IO[str]] = None
         processed = 0
-        failed = 0
+        failures: List[Any] = []
         started = time.perf_counter()
         try:
             if self.spill is not None:
@@ -558,6 +556,8 @@ class CampaignEngine:
                         stage.observe(index, result)
                     if spec.case_failed(result):
                         failed += 1
+                        if len(failures) < FAILURE_LIMIT:
+                            failures.append(result)
                     if led is not None:
                         row = spec.ledger_row(index, result)
                         if row is not None:
@@ -576,7 +576,7 @@ class CampaignEngine:
                     spill_fh.flush()
                 processed += len(chunk)
                 if led is not None:
-                    state = {}
+                    state: Dict[str, Any] = {"engine": {"failed": failed}}
                     for stage in stages:
                         stage_state = stage.state_dict()
                         if stage_state is not None:
@@ -606,7 +606,13 @@ class CampaignEngine:
                 finally:
                     if owns_ledger:
                         led.close()
+        counts = {name: 0 for name in spec.outcomes}
+        if counter is not None:
+            for name in sorted(counter.counts):
+                counts[name] = counter.counts[name]
         extras = spec.summarize(stages)
+        text = [spec.render_summary(extras) if extras else None]
+        text += ["  " + spec.failure_line(result) for result in failures]
         return CampaignRunResult(
             kind=spec.kind,
             campaign=spec.campaign,
@@ -616,12 +622,13 @@ class CampaignEngine:
             processed=processed,
             resumed=start_pos,
             failed=failed,
-            counts=dict(counter.counts) if counter is not None else {},
+            counts=counts,
+            failures=failures,
             elapsed=elapsed,
             digest=digest,
             ledger_rows=ledger_rows,
             extras=extras,
-            summary_text=spec.render_summary(extras) if extras else None,
+            summary_text="\n".join(filter(None, text)) or None,
         )
 
     # -- internals --------------------------------------------------------
@@ -632,13 +639,15 @@ class CampaignEngine:
         fingerprint: str,
         stages: Sequence[Stage],
         resume: bool,
-    ) -> int:
+    ) -> Tuple[int, int]:
+        """``(cases done, failing cases)`` of the shard's checkpoint,
+        after loading its stage state (``(0, 0)``: fresh run)."""
         if led is None:
             if resume:
                 raise CampaignError(
                     "resume requires a ledger (the checkpoint lives there)"
                 )
-            return 0
+            return 0, 0
         checkpoint = led.checkpoint(
             self.spec.kind,
             self.spec.campaign,
@@ -646,7 +655,7 @@ class CampaignEngine:
             self.shard.count,
         )
         if checkpoint is None:
-            return 0
+            return 0, 0
         if not resume:
             raise CampaignError(
                 f"ledger {led.path!r} already holds a checkpoint for "
@@ -662,10 +671,17 @@ class CampaignEngine:
                 f"({checkpoint.fingerprint} != {fingerprint}); refusing "
                 "to mix sweeps"
             )
+        if "engine" not in checkpoint.state:
+            raise CampaignError(
+                f"checkpoint for campaign {self.spec.campaign!r} shard "
+                f"{self.shard} carries no engine failure count (written by "
+                "an older engine); resuming it would judge only the cases "
+                "evaluated from here on, so rerun it on a fresh ledger"
+            )
         for stage in stages:
             if stage.name in checkpoint.state:
                 stage.load_state(checkpoint.state[stage.name])
-        return checkpoint.done
+        return checkpoint.done, int(checkpoint.state["engine"]["failed"])
 
     def _chunks(
         self, positions: range, start_pos: int

@@ -72,9 +72,8 @@ _CAMPAIGN_NAMES = (
     "IMPOSSIBLE",
     "OUTCOMES",
     "CampaignConfig",
-    "CampaignReport",
     "CampaignRow",
-    "build_pairs",
+    "FaultCampaignSpec",
     "run_campaign",
     "standard_battery",
 )
@@ -88,7 +87,6 @@ _BYZ_CAMPAIGN_NAMES = (
     "SCENARIOS",
     "ByzantineCampaignSpec",
     "ByzantineConfig",
-    "ByzantineReport",
     "ByzantineRow",
     "PowerRateStage",
     "run_byzantine_campaign",

@@ -1,14 +1,16 @@
 """Command-line fault campaign: ``python -m repro.fault``.
 
 Sweeps the fault matrix across the standard instance battery, prints the
-classification counts, optionally writes the full JSON report, and exits
-non-zero if any pair lands in the ``silent-wrong-answer`` bucket (or fails
-its structural trace audit) — the CI contract of the robustness suite.
+classification counts, optionally writes the JSON result (counts, totals,
+failing rows; every row lands in ``--ledger``), and exits non-zero if any
+pair lands in the ``silent-wrong-answer`` bucket (or fails its structural
+trace audit) — the CI contract of the robustness suite.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional, Sequence
 
@@ -71,7 +73,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--out",
         type=str,
         default=None,
-        help="write the full JSON report to this path",
+        help="write the JSON result (counts, totals, failing rows) here",
     )
     parser.add_argument(
         "--ledger",
@@ -79,12 +81,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="append one run-ledger row per (instance, plan) pair to this "
         "SQLite database (see python -m repro.obs ledger)",
-    )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="streaming report: retain only failing rows; counts come "
-        "from the campaign engine's checkpointed counters",
     )
     parser.add_argument(
         "--shard",
@@ -114,13 +110,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         byzantine=args.byzantine,
     )
     try:
-        report = run_campaign(
+        result = run_campaign(
             pairs=args.pairs,
             config=config,
             workers=args.workers,
             quick=args.quick,
             ledger=args.ledger,
-            stream=args.stream,
             shard=args.shard,
             resume=args.resume,
             max_cases=args.max_cases,
@@ -128,12 +123,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.render())
+    print(result.render())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         print(f"report written to {args.out}")
-    return 0 if report.ok else 1
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":

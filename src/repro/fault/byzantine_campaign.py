@@ -30,21 +30,18 @@ detected-vs-fooled table survives kill/resume exactly.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..campaign.engine import (
     CampaignEngine,
+    CampaignRunResult,
     CampaignSpec,
-    FailureKeeper,
     MetricsStage,
     OutcomeCounter,
-    PredicateCounter,
-    RowCollector,
-    Shard,
     Stage,
+    Tally,
 )
 from ..core.elect import ElectAgent
 from ..core.feasibility import elect_prediction
@@ -64,7 +61,6 @@ from .campaign import (
     OUTCOMES,
     RECOVERED,
     CampaignConfig,
-    CampaignReport,
     CampaignRow,
     _classify_completion,
     _pair_context,
@@ -328,88 +324,6 @@ class PowerRateStage(Stage):
         self.counts = {k: int(v) for k, v in state.get("counts", {}).items()}
 
 
-@dataclass
-class ByzantineReport(CampaignReport):
-    """Fault-campaign report plus the per-power detected-vs-fooled table."""
-
-    power_counts: Optional[Dict[str, int]] = None
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        out = {name: 0 for name in BYZ_OUTCOMES}
-        if self.streamed_counts is not None:
-            for name, n in self.streamed_counts.items():
-                out[name] = out.get(name, 0) + int(n)
-            return out
-        for row in self.rows:
-            out[row.outcome] = out.get(row.outcome, 0) + 1
-        return out
-
-    @property
-    def fooled_rows(self) -> List[CampaignRow]:
-        return [r for r in self.rows if r.outcome == FOOLED]
-
-    @property
-    def ok(self) -> bool:
-        """Campaign verdict: the crash-era criteria *plus* no power-0 case
-        in the fooled bucket (an honest sweep can't be silently fooled)."""
-        if not super().ok:
-            return False
-        if self.power_counts is not None:
-            return self.power_counts.get(f"p0:{FOOLED}", 0) == 0
-        return not any(
-            getattr(r, "power", 0) == 0 and r.outcome == FOOLED
-            for r in self.rows
-        )
-
-    def power_table(self) -> Dict[int, Dict[str, int]]:
-        from ..analysis.robustness import power_outcome_table
-
-        counts = self.power_counts
-        if counts is None:
-            counts = {}
-            for row in self.rows:
-                key = f"p{getattr(row, 'power', 0)}:{row.outcome}"
-                counts[key] = counts.get(key, 0) + 1
-        return power_outcome_table(counts)
-
-    def to_dict(self) -> Dict[str, Any]:
-        from ..analysis.robustness import detection_rates
-
-        out = super().to_dict()
-        table = self.power_table()
-        out["power_table"] = {
-            str(power): dict(outcomes) for power, outcomes in table.items()
-        }
-        out["detection_rates"] = {
-            str(power): rate for power, rate in detection_rates(table).items()
-        }
-        return out
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def render(self) -> str:
-        from ..analysis.robustness import render_detection_table
-
-        mode = " [streamed]" if self.streamed else ""
-        lines = [
-            f"byzantine campaign: {self.total_pairs} cases, "
-            f"seed={self.seed}{mode}"
-        ]
-        counts = self.counts
-        for name in BYZ_OUTCOMES:
-            lines.append(f"  {name:>22}: {counts.get(name, 0)}")
-        lines.append(render_detection_table(self.power_table()))
-        for row in self.impossible_rows:
-            lines.append(
-                f"  IMPOSSIBLE #{row.index} {row.instance} / {row.plan}: "
-                f"{row.detail}"
-            )
-        lines.append("verdict: " + ("OK" if self.ok else "FAILED"))
-        return "\n".join(lines)
-
-
 class ByzantineCampaignSpec(CampaignSpec):
     """The Byzantine grid: ``instances × powers × scenarios × plan slots``.
 
@@ -422,6 +336,7 @@ class ByzantineCampaignSpec(CampaignSpec):
 
     kind = "byzantine"
     span_name = "byzantine.case"
+    outcomes = BYZ_OUTCOMES
 
     def __init__(
         self,
@@ -430,7 +345,6 @@ class ByzantineCampaignSpec(CampaignSpec):
         powers: Tuple[int, ...] = (0, 1, 2, 3),
         config: Optional[ByzantineConfig] = None,
         quick: bool = False,
-        collect: bool = False,
     ):
         self.config = config or ByzantineConfig()
         if instances is None:
@@ -452,12 +366,8 @@ class ByzantineCampaignSpec(CampaignSpec):
         self._chash_cache: Dict[str, Tuple[str, int]] = {}
         self.counter = OutcomeCounter()
         self.power_rates = PowerRateStage()
-        self.audit_counter = PredicateCounter(
+        self.audit_counter = Tally(
             "audit-failures", lambda row: bool(row.audit_failures)
-        )
-        self.failures = FailureKeeper(self.case_failed)
-        self.collector: Optional[RowCollector] = (
-            RowCollector() if collect else None
         )
 
     @property
@@ -568,55 +478,45 @@ class ByzantineCampaignSpec(CampaignSpec):
             span_id=ctx.span_id,
         )
 
-    def spill_record(self, index: int, row: ByzantineRow) -> Dict[str, Any]:
-        record = row.to_dict()
-        record["case_index"] = index
-        return record
-
     def case_failed(self, row: ByzantineRow) -> bool:
-        if row.outcome == IMPOSSIBLE:
-            return True
-        # A power-0 case has no adversary: landing in the fooled bucket
-        # there would mean the detector itself broke classification.
-        if row.power == 0 and row.outcome == FOOLED:
-            return True
-        return bool(row.audit_failures)
+        # A silently-fooled case fails at any power: the measured rate is
+        # a finding, and the sweep's verdict must not hide it.
+        return row.outcome in (IMPOSSIBLE, FOOLED) or bool(row.audit_failures)
+
+    def failure_line(self, row: ByzantineRow) -> str:
+        return f"[p{row.power}:{row.scenario}] {row.failure_line()}"
 
     def stages(self) -> Sequence[Stage]:
-        stages: List[Stage] = [
+        return [
             self.counter,
             self.power_rates,
             self.audit_counter,
             MetricsStage(lambda row: count_outcome(row.outcome)),
-            self.failures,
         ]
-        if self.collector is not None:
-            stages.append(self.collector)
-        return stages
 
     def summarize(self, stages: Sequence[Stage]) -> Dict[str, Any]:
         from ..analysis.robustness import detection_rates, power_outcome_table
 
-        rates = next(
-            (s for s in stages if isinstance(s, PowerRateStage)), None
-        )
-        if rates is None or not rates.counts:
-            return {}
-        table = power_outcome_table(rates.counts)
-        return {
-            "power_table": {str(p): dict(row) for p, row in table.items()},
-            "detection_rates": {
+        extras: Dict[str, Any] = {"audit_failures": self.audit_counter.count}
+        if self.power_rates.counts:
+            table = power_outcome_table(self.power_rates.counts)
+            extras["power_table"] = {
+                str(p): dict(row) for p, row in table.items()
+            }
+            extras["detection_rates"] = {
                 str(p): rate for p, rate in detection_rates(table).items()
-            },
-        }
+            }
+        return extras
 
-    def render_summary(self, extras: Dict[str, Any]) -> Optional[str]:
+    def render_summary(self, extras: Dict[str, Any]) -> str:
         from ..analysis.robustness import render_detection_table
 
         table = {
             int(p): row for p, row in extras.get("power_table", {}).items()
         }
-        return render_detection_table(table) if table else None
+        lines = [render_detection_table(table)] if table else []
+        lines.append(f"  audit-failures={extras['audit_failures']}")
+        return "\n".join(lines)
 
     def describe(self) -> Dict[str, Any]:
         cfg = self.config
@@ -646,32 +546,26 @@ def run_byzantine_campaign(
     workers: Optional[int] = 1,
     quick: bool = False,
     ledger: Optional[Any] = None,
-    stream: bool = False,
     shard: Optional[Any] = None,
     resume: bool = False,
     checkpoint_every: int = 64,
     max_cases: Optional[int] = None,
     spill: Optional[str] = None,
-) -> ByzantineReport:
-    """Sweep the Byzantine grid; return the report with per-power rates.
+) -> CampaignRunResult:
+    """Sweep the Byzantine grid; the result's ``extras`` carry the
+    per-power outcome table and detection rates.
 
     Deterministic in ``(instances, cases, powers, config)``: worker count
     and sharding change only wall-clock time, never the merged ledger
     digest — the engine contract the fault campaign already honors.
     """
-    cfg = config or ByzantineConfig()
     spec = ByzantineCampaignSpec(
         instances=instances,
         cases=cases,
         powers=powers,
-        config=cfg,
+        config=config,
         quick=quick,
-        collect=not stream,
     )
-    if shard is None:
-        shard = Shard()
-    elif not isinstance(shard, Shard):
-        shard = Shard.parse(shard)
     engine = CampaignEngine(
         spec,
         ledger=ledger,
@@ -681,19 +575,4 @@ def run_byzantine_campaign(
         max_cases=max_cases,
         spill=spill,
     )
-    result = engine.run(resume=resume)
-    if stream:
-        return ByzantineReport(
-            rows=list(spec.failures.kept),
-            seed=cfg.seed,
-            streamed_counts=dict(result.counts),
-            streamed_total=result.resumed + result.processed,
-            streamed_audit_failures=spec.audit_counter.count,
-            power_counts=dict(spec.power_rates.counts),
-        )
-    assert spec.collector is not None
-    return ByzantineReport(
-        rows=list(spec.collector.rows),
-        seed=cfg.seed,
-        power_counts=dict(spec.power_rates.counts),
-    )
+    return engine.run(resume=resume)

@@ -35,7 +35,6 @@ worker count.
 
 from __future__ import annotations
 
-import json
 import random
 import zlib
 from dataclasses import dataclass
@@ -43,21 +42,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..campaign.engine import (
     CampaignEngine,
+    CampaignRunResult,
     CampaignSpec,
-    FailureKeeper,
     MetricsStage,
     OutcomeCounter,
-    PredicateCounter,
-    RowCollector,
-    Shard,
     Stage,
+    Tally,
 )
 from ..core.elect import ElectAgent
 from ..core.feasibility import elect_prediction
 from ..core.result import aggregate
 from ..errors import ProtocolError, ReproError
 from ..obs import flight
-from ..obs.ledger import LedgerRow, RunLedger, open_ledger
+from ..obs.ledger import LedgerRow
 from ..sim.runtime import Simulation
 from ..sim.scheduler import RandomScheduler
 from ..trace.invariants import THEOREM31_CONSTANT, audit_trace
@@ -145,119 +142,13 @@ class CampaignRow:
             "audit_failures": list(self.audit_failures),
         }
 
-
-@dataclass
-class CampaignReport:
-    """All rows of one campaign plus the headline counts.
-
-    Two shapes share this class.  Legacy (collect) mode holds every row
-    and derives the counts from them.  Streaming mode holds only the
-    *failing* rows (the minimizer/report material) while the headline
-    numbers come from the engine's checkpointed stage counters — the
-    ``streamed_*`` fields — so a million-pair sweep's report stays O(1)
-    in memory and survives kill/resume with exact totals.
-    """
-
-    rows: List[CampaignRow]
-    seed: int
-    #: Streaming mode: outcome histogram from the engine's
-    #: :class:`~repro.campaign.engine.OutcomeCounter` (``None``: legacy).
-    streamed_counts: Optional[Dict[str, int]] = None
-    #: Streaming mode: total pairs observed (resumed + evaluated).
-    streamed_total: Optional[int] = None
-    #: Streaming mode: pairs with structural audit failures.
-    streamed_audit_failures: int = 0
-
-    @property
-    def streamed(self) -> bool:
-        return self.streamed_counts is not None
-
-    @property
-    def total_pairs(self) -> int:
-        if self.streamed_total is not None:
-            return self.streamed_total
-        return len(self.rows)
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        out = {name: 0 for name in OUTCOMES}
-        if self.streamed_counts is not None:
-            for name, n in self.streamed_counts.items():
-                out[name] = out.get(name, 0) + int(n)
-            return out
-        for row in self.rows:
-            out[row.outcome] = out.get(row.outcome, 0) + 1
-        return out
-
-    @property
-    def impossible_rows(self) -> List[CampaignRow]:
-        return [r for r in self.rows if r.outcome == IMPOSSIBLE]
-
-    @property
-    def audit_failures(self) -> List[CampaignRow]:
-        return [r for r in self.rows if r.audit_failures]
-
-    @property
-    def ok(self) -> bool:
-        """The campaign's verdict: no silent wrong answer, clean audits."""
-        if self.streamed:
-            return (
-                self.counts.get(IMPOSSIBLE, 0) == 0
-                and self.counts.get(_FOOLED, 0) == 0
-                and self.streamed_audit_failures == 0
-            )
+    def failure_line(self) -> str:
+        """The row as one report line: coordinates, outcome, and why."""
+        why = "; ".join(filter(None, (self.detail, *self.audit_failures)))
         return (
-            not self.impossible_rows
-            and not any(r.outcome == _FOOLED for r in self.rows)
-            and not self.audit_failures
+            f"FAILED #{self.index} {self.instance} / {self.plan} "
+            f"[{self.outcome}]: {why}"
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "pairs": self.total_pairs,
-            "counts": self.counts,
-            "ok": self.ok,
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def render(self) -> str:
-        """Human-readable summary table."""
-        mode = " [streamed]" if self.streamed else ""
-        lines = [
-            f"fault campaign: {self.total_pairs} (instance, plan) pairs, "
-            f"seed={self.seed}{mode}"
-        ]
-        counts = self.counts
-        extra = sorted(set(counts) - set(OUTCOMES))
-        for name in (*OUTCOMES, *extra):
-            lines.append(f"  {name:>22}: {counts.get(name, 0)}")
-        audit_count = (
-            self.streamed_audit_failures
-            if self.streamed
-            else len(self.audit_failures)
-        )
-        total_restarts = sum(r.restarts for r in self.rows)
-        total_stalls = sum(r.stalls for r in self.rows)
-        lines.append(
-            f"  restarts={total_restarts}  stalls={total_stalls}  "
-            f"audit-failures={audit_count}"
-        )
-        for row in self.impossible_rows:
-            lines.append(
-                f"  IMPOSSIBLE #{row.index} {row.instance} / {row.plan}: "
-                f"{row.detail}"
-            )
-        for row in self.audit_failures:
-            lines.append(
-                f"  AUDIT #{row.index} {row.instance} / {row.plan}: "
-                + "; ".join(row.audit_failures)
-            )
-        lines.append("verdict: " + ("OK" if self.ok else "FAILED"))
-        return "\n".join(lines)
 
 
 def _pair_seed(seed: int, index: int, plan_name: str) -> int:
@@ -270,67 +161,6 @@ def _pair_context(seed: int, index: int, plan_name: str) -> "flight.TraceContext
     trace ids (and its digest) are identical for any worker count, with
     or without the recorder."""
     return flight.TraceContext.mint("fault-case", f"{seed}:{index}:{plan_name}")
-
-
-def write_campaign_ledger(
-    ledger: Any,
-    report: "CampaignReport",
-    tasks: Sequence[Tuple[int, Any, FaultPlan, CampaignConfig]],
-    elapsed: float = 0.0,
-) -> int:
-    """Append one ``kind="fault"`` ledger row per campaign pair.
-
-    Every column except ``wall_ms`` (the mean per-pair wall time — the
-    sweep is timed as a whole) is a pure function of the campaign config,
-    so :meth:`~repro.obs.ledger.RunLedger.digest` over these rows is
-    byte-identical for any worker count.  ``budget`` is the Theorem 3.1
-    bound ``C·r·|E|`` the row's ``moves`` count is judged against.
-    Returns the number of rows written.
-    """
-    from ..graphs.canonical import canonical_hash
-
-    led = open_ledger(ledger)
-    campaign = f"fault:seed={report.seed}:pairs={len(tasks)}"
-    wall_each = (elapsed / len(tasks) * 1000.0) if tasks else 0.0
-    chash_by_label: Dict[str, str] = {}
-    rows: List[LedgerRow] = []
-    for row, (index, inst, plan, cfg) in zip(report.rows, tasks):
-        chash = chash_by_label.get(row.instance)
-        if chash is None:
-            chash = canonical_hash(
-                inst.network, inst.placement.bicoloring(inst.network)
-            )
-            chash_by_label[row.instance] = chash
-        ctx = _pair_context(cfg.seed, index, plan.name)
-        budget = (
-            THEOREM31_CONSTANT
-            * inst.placement.num_agents
-            * max(1, inst.network.num_edges)
-        )
-        rows.append(
-            LedgerRow(
-                kind="fault",
-                campaign=campaign,
-                case_index=row.index,
-                instance=row.instance,
-                family=row.family,
-                chash=chash,
-                seed=_pair_seed(cfg.seed, index, plan.name),
-                predicted="electable" if row.predicted else "impossible",
-                outcome=row.outcome,
-                detail=row.detail,
-                moves=row.moves,
-                budget=budget,
-                steps=row.steps,
-                wall_ms=round(wall_each, 3),
-                trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-            )
-        )
-    written = led.append(rows)
-    if not isinstance(ledger, RunLedger):
-        led.close()
-    return written
 
 
 def _classify_completion(
@@ -478,53 +308,21 @@ def standard_battery(quick: bool = False) -> List[Any]:
     return impossible + electable[::4]
 
 
-def build_pairs(
-    instances: Sequence[Any],
-    pairs: int,
-    config: CampaignConfig,
-) -> List[Tuple[int, Any, FaultPlan, CampaignConfig]]:
-    """The deterministic ``(index, instance, plan, config)`` task matrix.
-
-    Plans are generated per instance (seeded from the campaign seed and the
-    instance's position) so every instance sees every fault family, then the
-    matrix is trimmed to exactly ``pairs`` rows.
-    """
-    if not instances:
-        raise ValueError("campaign needs at least one instance")
-    plans_per = max(1, -(-pairs // len(instances)))
-    tasks: List[Tuple[int, Any, FaultPlan, CampaignConfig]] = []
-    for j, inst in enumerate(instances):
-        plans = random_fault_plans(
-            plans_per,
-            num_agents=inst.placement.num_agents,
-            num_nodes=inst.network.num_nodes,
-            seed=_pair_seed(config.seed, j, inst.label),
-            byzantine=config.byzantine,
-        )
-        for plan in plans:
-            tasks.append((len(tasks), inst, plan, config))
-    # Interleave instances so trimming keeps battery breadth.
-    tasks.sort(key=lambda t: (t[0] % plans_per, t[0]))
-    tasks = tasks[:pairs]
-    return [
-        (i, inst, plan, cfg) for i, (_, inst, plan, cfg) in enumerate(tasks)
-    ]
-
-
 class FaultCampaignSpec(CampaignSpec):
     """The fault matrix as a lazy :class:`~repro.campaign.CampaignSpec`.
 
-    The grid is the same deterministic matrix :func:`build_pairs`
-    materializes, expressed in closed form so the engine never builds it
-    whole: after :func:`build_pairs`'s plan-major interleave+trim, final
-    index ``i`` denotes plan slot ``i // n_instances`` of instance
-    ``i % n_instances``.  Per-instance plan lists (and canonical hashes)
-    are generated on first touch and cached, so a shard only pays for the
-    instances it actually owns.
+    Plans are generated per instance (seeded from the campaign seed and
+    the instance's position), so every instance sees every fault family.
+    The matrix is plan-major, so trimming it to ``pairs`` keeps battery
+    breadth: index ``i`` denotes plan slot ``i // n_instances`` of
+    instance ``i % n_instances``.  Per-instance plan lists (and canonical
+    hashes) are generated on first touch and cached, so a shard only pays
+    for the instances it actually owns.
     """
 
     kind = "fault"
     span_name = "fault.case"
+    outcomes = OUTCOMES
 
     def __init__(
         self,
@@ -532,7 +330,6 @@ class FaultCampaignSpec(CampaignSpec):
         pairs: int = 208,
         config: Optional[CampaignConfig] = None,
         quick: bool = False,
-        collect: bool = False,
     ):
         self.config = config or CampaignConfig()
         if instances is None:
@@ -545,15 +342,13 @@ class FaultCampaignSpec(CampaignSpec):
         self._plans_per = max(1, -(-pairs // len(self.instances)))
         self._plan_cache: Dict[int, List[FaultPlan]] = {}
         self._chash_cache: Dict[str, Tuple[str, int]] = {}
-        # Stages are attributes so frontends can read them after a run.
+        # Stages are attributes so ``summarize`` can read them.
         self.counter = OutcomeCounter()
-        self.audit_counter = PredicateCounter(
+        self.audit_counter = Tally(
             "audit-failures", lambda row: bool(row.audit_failures)
         )
-        self.failures = FailureKeeper(self.case_failed)
-        self.collector: Optional[RowCollector] = (
-            RowCollector() if collect else None
-        )
+        self.restarts = Tally("restarts", lambda row: row.restarts)
+        self.stalls = Tally("stalls", lambda row: row.stalls)
 
     @property
     def total(self) -> int:
@@ -628,27 +423,36 @@ class FaultCampaignSpec(CampaignSpec):
             span_id=ctx.span_id,
         )
 
-    def spill_record(self, index: int, row: CampaignRow) -> Dict[str, Any]:
-        record = row.to_dict()
-        record["case_index"] = index
-        return record
-
     def case_failed(self, row: CampaignRow) -> bool:
         return (
             row.outcome in (IMPOSSIBLE, _FOOLED)
             or bool(row.audit_failures)
         )
 
+    def failure_line(self, row: CampaignRow) -> str:
+        return row.failure_line()
+
     def stages(self) -> Sequence[Stage]:
-        stages: List[Stage] = [
+        return [
             self.counter,
             self.audit_counter,
+            self.restarts,
+            self.stalls,
             MetricsStage(lambda row: count_outcome(row.outcome)),
-            self.failures,
         ]
-        if self.collector is not None:
-            stages.append(self.collector)
-        return stages
+
+    def summarize(self, stages: Sequence[Stage]) -> Dict[str, Any]:
+        return {
+            "restarts": self.restarts.count,
+            "stalls": self.stalls.count,
+            "audit_failures": self.audit_counter.count,
+        }
+
+    def render_summary(self, extras: Dict[str, Any]) -> str:
+        return (
+            f"  restarts={extras['restarts']}  stalls={extras['stalls']}  "
+            f"audit-failures={extras['audit_failures']}"
+        )
 
     def describe(self) -> Dict[str, Any]:
         cfg = self.config
@@ -675,29 +479,22 @@ def run_campaign(
     workers: Optional[int] = 1,
     quick: bool = False,
     ledger: Optional[Any] = None,
-    stream: bool = False,
     shard: Optional[Any] = None,
     resume: bool = False,
     checkpoint_every: int = 64,
     max_cases: Optional[int] = None,
     spill: Optional[str] = None,
-) -> CampaignReport:
-    """Sweep the fault matrix; return the classified report.
+) -> CampaignRunResult:
+    """Sweep the fault matrix on the :class:`~repro.campaign.CampaignEngine`.
 
     Deterministic in ``(instances, pairs, config)`` — worker count only
     changes wall-clock time (the battery runner preserves input order and
-    every seed is derived per pair).  The sweep runs on the
-    :class:`~repro.campaign.CampaignEngine`:
-
-    * ``stream=False`` (default) keeps the legacy shape — every row held
-      in memory, full report;
-    * ``stream=True`` retains only failing rows; headline counts come
-      from the engine's checkpointed counters, so memory stays flat for
-      arbitrarily large ``pairs`` and a resumed sweep reports exact
-      totals;
-    * ``shard`` (a :class:`~repro.campaign.Shard` or ``"i/N"`` string),
-      ``resume``, ``checkpoint_every``, ``max_cases`` and ``spill`` pass
-      straight to the engine — see :mod:`repro.campaign.engine`.
+    every seed is derived per pair).  The result carries the checkpointed
+    outcome counts, the restart/stall/audit-failure totals (``extras``)
+    and the failing rows; every row lands in ``ledger`` and ``spill``.
+    ``shard`` (a :class:`~repro.campaign.Shard` or ``"i/N"`` string),
+    ``resume``, ``checkpoint_every``, ``max_cases`` and ``spill`` pass
+    straight to the engine — see :mod:`repro.campaign.engine`.
 
     ``ledger`` (a :class:`~repro.obs.ledger.RunLedger` or a path) appends
     one row per pair, committed chunk-atomically with the shard's resume
@@ -706,18 +503,9 @@ def run_campaign(
     ship back with the row), so a campaign case can be followed from the
     ledger row into the exported trace by trace id.
     """
-    cfg = config or CampaignConfig()
     spec = FaultCampaignSpec(
-        instances=instances,
-        pairs=pairs,
-        config=cfg,
-        quick=quick,
-        collect=not stream,
+        instances=instances, pairs=pairs, config=config, quick=quick
     )
-    if shard is None:
-        shard = Shard()
-    elif not isinstance(shard, Shard):
-        shard = Shard.parse(shard)
     engine = CampaignEngine(
         spec,
         ledger=ledger,
@@ -727,14 +515,4 @@ def run_campaign(
         max_cases=max_cases,
         spill=spill,
     )
-    result = engine.run(resume=resume)
-    if stream:
-        return CampaignReport(
-            rows=list(spec.failures.kept),
-            seed=cfg.seed,
-            streamed_counts=dict(result.counts),
-            streamed_total=result.resumed + result.processed,
-            streamed_audit_failures=spec.audit_counter.count,
-        )
-    assert spec.collector is not None
-    return CampaignReport(rows=list(spec.collector.rows), seed=cfg.seed)
+    return engine.run(resume=resume)

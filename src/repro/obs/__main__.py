@@ -247,7 +247,7 @@ def _cmd_flight_record(args: argparse.Namespace) -> int:
 
     recorder = flight.enable_flight(flight.FlightRecorder())
     try:
-        report = run_campaign(
+        result = run_campaign(
             pairs=args.pairs,
             config=CampaignConfig(seed=args.seed),
             workers=args.workers,
@@ -266,7 +266,7 @@ def _cmd_flight_record(args: argparse.Namespace) -> int:
     if args.ledger:
         with RunLedger(args.ledger) as ledger:
             ledger_rows = ledger.count(kind="fault")
-    cases = len(report.rows)
+    cases = result.processed
     summary = flight.summarize(spans)
     summary.update(
         {

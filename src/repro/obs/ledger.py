@@ -1,16 +1,15 @@
 """The persistent run ledger: an append-only record of what actually ran.
 
-Campaign reports (:class:`repro.fault.campaign.CampaignReport`,
-:class:`repro.adversary.fuzz.FuzzReport`) are in-memory and die with the
-process; the serve layer caches *answers* but not the fact that a query
-ran.  The ledger is the durable complement: every battery case, campaign
-pair, fuzz case and serve compute appends one row to a schema-versioned
-SQLite file — instance canonical hash, seed, outcome classification,
-move count against the Theorem 3.1 ``C·r·|E|`` budget, wall time, and
-the flight-recorder trace ids — so "what did last night's run actually
-do?" is a query, not an archaeology dig.  This is the substrate the
-ROADMAP's "one campaign engine, million-case scale" item checkpoints
-into.
+A campaign's run result (:class:`repro.campaign.CampaignRunResult`) is
+in-memory and dies with the process; the serve layer caches *answers*
+but not the fact that a query ran.  The ledger is the durable
+complement: every battery case, campaign pair, fuzz case and serve
+compute appends one row to a schema-versioned SQLite file — instance
+canonical hash, seed, outcome classification, move count against the
+Theorem 3.1 ``C·r·|E|`` budget, wall time, and the flight-recorder
+trace ids — so "what did last night's run actually do?" is a query, not
+an archaeology dig.  This is the substrate the ROADMAP's "one campaign
+engine, million-case scale" item checkpoints into.
 
 Schema (version 1)::
 

@@ -1,9 +1,10 @@
 """The perf-regression sentinel: gate CI on committed bench baselines.
 
-Where :mod:`repro.perf.bench_compare` flags *timing* drift between two
-pytest-benchmark JSON files, this sentinel is the hard CI gate.  It
-compares a fresh run against the committed ``benchmarks/baselines``
-files with per-metric tolerance bands and exits non-zero on regression:
+The one comparator for pytest-benchmark JSON files.  It compares a
+fresh run against the committed ``benchmarks/baselines`` files with
+per-metric tolerance bands and exits non-zero on regression (CI gates on
+some files, and runs the rest with ``--warn-only`` as an advisory 20%
+timing band, ``--time-tolerance 1.2``):
 
 * **timing** — ``stats.mean`` ratio beyond ``--time-tolerance`` (wide by
   default: CI machines differ from the baseline machine, so only gross
@@ -22,7 +23,7 @@ Usage (exit 0 clean, 1 on findings, 2 on malformed input)::
 
     python -m repro.obs regress BASELINE.json FRESH.json \
         [--time-tolerance 3.0] [--info-tolerance 1.25] \
-        [--limit disabled_overhead_ratio=1.05 ...]
+        [--limit disabled_overhead_ratio=1.05 ...] [--warn-only]
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Performance layer: memoization, parallel batteries, benchmark tooling.
+"""Performance layer: memoization, refinement kernels, parallel batteries.
 
 Every feasibility question in the reproduction — Theorem 2.1 certificates,
 σ_ℓ(G) symmetricity, Lemma 3.1 class ordering, the Table 1 batteries —
@@ -23,9 +23,11 @@ funnels through the view-refinement and canonical-form machinery in
   instance batteries), including the shared-memory ``map_on_network`` path;
 * :mod:`repro.perf.shm` — one-shot shared-memory export of a network's
   flat buffers for process workers (:func:`~repro.perf.shm.export_network`
-  / :func:`~repro.perf.shm.attach_network`);
-* :mod:`repro.perf.bench_compare` — the benchmark-regression comparator
-  (``python -m repro.perf.bench_compare baseline.json current.json``).
+  / :func:`~repro.perf.shm.attach_network`).
+
+Benchmark JSON is compared against the committed baselines by the
+perf-regression sentinel, ``python -m repro.obs regress``
+(:mod:`repro.obs.regress`).
 
 Networks are immutable after construction (all transformations return
 copies), which is what makes identity-keyed caching sound; see DESIGN §8.2

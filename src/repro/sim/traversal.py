@@ -154,9 +154,18 @@ def draw_map(color: Color, start: NodeView) -> ActionGen:
             if not backtrack:
                 break
             port_home = backtrack.pop()
+            edge = explored[current].get(port_home)
+            if edge is None:
+                # A forged dfs-visited sign can give two nodes one map
+                # number; the walk then loses track of where it stands,
+                # and the port back home may have no recorded edge here.
+                raise ProtocolError(
+                    f"map drawing: backtrack port {port_home!r} at map "
+                    f"node {current} has no recorded edge (forged visit "
+                    "number?)"
+                )
             view = yield Move(port_home)
-            parent, _ = explored[current][port_home]
-            current = parent
+            current = edge[0]
 
     network = AnonymousNetwork(counter + 1, edge_records, name="local-map")
     return LocalMap(network=network, homebases=homebases)

@@ -11,8 +11,8 @@ from repro.adversary import run_fuzz
 
 
 def test_500_distinct_interleavings_no_silent_wrong_answers():
-    report = run_fuzz(runs=900, workers=4)
-    assert report.distinct_schedules >= 500
-    assert report.counts["silent-wrong-answer"] == 0
-    assert report.counts["schedule-failure"] == 0
-    assert report.ok
+    result = run_fuzz(runs=900, workers=4)
+    assert result.extras["distinct_schedules"] >= 500
+    assert result.counts["silent-wrong-answer"] == 0
+    assert result.counts["schedule-failure"] == 0
+    assert result.ok

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.adversary import (
+    OUTCOMES,
+    FuzzCampaignSpec,
     FuzzConfig,
     InstanceSpec,
-    build_cases,
     build_scheduler,
     fuzz_stats,
     run_fuzz,
@@ -16,8 +17,16 @@ from repro.adversary import (
     table1_battery,
 )
 from repro.adversary.metrics import reset as reset_metrics
+from repro.campaign import read_spill
 from repro.errors import AdversaryError
 from repro.sim import PCTScheduler
+
+
+def _sweep(tmp_path, **kwargs):
+    """A quick-battery sweep and its spilled rows."""
+    spill = str(tmp_path / "rows.jsonl")
+    result = run_fuzz(quick=True, spill=spill, **kwargs)
+    return result, read_spill(spill)
 
 
 class TestSpecs:
@@ -72,14 +81,14 @@ class TestSignatures:
 class TestGrid:
     def test_build_cases_needs_instances_and_runs(self):
         with pytest.raises(AdversaryError):
-            build_cases([], 10, FuzzConfig())
+            FuzzCampaignSpec(instances=[], runs=10)
         with pytest.raises(AdversaryError):
-            build_cases(table1_battery(quick=True), 0, FuzzConfig())
+            FuzzCampaignSpec(runs=0, quick=True)
 
     def test_fault_pairing_cadence(self):
         cfg = FuzzConfig(seed=1, fault_every=3)
-        cases = build_cases(table1_battery(quick=True), 12, cfg)
-        plans = [plan for (_, _, _, plan, _) in cases]
+        spec = FuzzCampaignSpec(runs=12, config=cfg, quick=True)
+        plans = [spec.task(i)[3] for i in range(spec.total)]
         assert sum(p is not None for p in plans) == 4
         assert all(
             (p is not None) == ((i + 1) % 3 == 0)
@@ -88,63 +97,72 @@ class TestGrid:
 
 
 class TestSweep:
-    def test_fuzz_is_deterministic_across_worker_counts(self):
-        serial = run_fuzz(runs=24, quick=True, workers=1)
-        parallel = run_fuzz(runs=24, quick=True, workers=2)
-        assert serial.to_dict() == parallel.to_dict()
+    def test_fuzz_is_deterministic_across_worker_counts(self, tmp_path):
+        (tmp_path / "w1").mkdir()
+        (tmp_path / "w2").mkdir()
+        serial, serial_rows = _sweep(tmp_path / "w1", runs=24, workers=1)
+        parallel, parallel_rows = _sweep(tmp_path / "w2", runs=24, workers=2)
+        assert serial_rows == parallel_rows
+        assert (serial.counts, serial.extras) == (
+            parallel.counts,
+            parallel.extras,
+        )
 
     def test_fault_free_sweep_is_green(self):
-        report = run_fuzz(runs=30, quick=True)
-        assert report.ok
-        assert report.counts["elected-correctly"] == 30
-        assert report.counts["silent-wrong-answer"] == 0
-        assert not report.failures
+        result = run_fuzz(runs=30, quick=True)
+        assert result.ok
+        assert result.counts["elected-correctly"] == 30
+        assert result.counts["silent-wrong-answer"] == 0
+        assert not result.failures
 
-    def test_dedup_marks_repeated_interleavings(self):
-        report = run_fuzz(runs=60, quick=True)
+    def test_dedup_marks_repeated_interleavings(self, tmp_path):
+        result, rows = _sweep(tmp_path, runs=60)
         assert (
-            report.distinct_schedules + report.duplicate_schedules
-            == len(report.rows)
+            result.extras["distinct_schedules"]
+            + result.extras["duplicate_schedules"]
+            == len(rows)
         )
-        assert report.duplicate_schedules > 0
+        assert result.extras["duplicate_schedules"] > 0
         seen = set()
-        for row in report.rows:
-            assert row.distinct == (row.signature not in seen)
-            seen.add(row.signature)
+        for row in rows:
+            assert row["distinct"] == (row["signature"] not in seen)
+            seen.add(row["signature"])
 
-    def test_faulted_cases_reuse_campaign_vocabulary(self):
+    def test_faulted_cases_reuse_campaign_vocabulary(self, tmp_path):
         cfg = FuzzConfig(seed=2, fault_every=2)
-        report = run_fuzz(runs=20, quick=True, config=cfg)
-        faulted = [r for r in report.rows if r.plan is not None]
+        result, rows = _sweep(tmp_path, runs=20, config=cfg)
+        faulted = [r for r in rows if r["plan"] is not None]
         assert faulted
         for row in faulted:
-            assert row.outcome in (
+            assert row["outcome"] in (
                 "elected-correctly",
                 "recovered",
                 "detected-stall",
             )
-        assert report.counts["silent-wrong-answer"] == 0
+        assert result.counts["silent-wrong-answer"] == 0
 
     def test_metrics_collector_counts_the_sweep(self):
         reset_metrics()
-        report = run_fuzz(runs=20, quick=True)
+        result = run_fuzz(runs=20, quick=True)
         stats = fuzz_stats()
         assert sum(stats["runs"].values()) == 20
         assert (
             stats["schedules"].get("distinct", 0)
-            == report.distinct_schedules
+            == result.extras["distinct_schedules"]
         )
 
     def test_report_json_round_trips(self):
-        report = run_fuzz(runs=12, quick=True)
-        data = json.loads(report.to_json())
-        assert data["cases"] == 12
+        result = run_fuzz(runs=12, quick=True)
+        data = json.loads(json.dumps(result.to_dict()))
+        assert data["total"] == data["processed"] == 12
         assert data["ok"] is True
-        assert len(data["rows"]) == 12
+        assert data["failures"] == []
+        assert list(data["counts"]) == list(OUTCOMES)
+        assert data["agent_kwargs"] == {}
         assert "distinct_schedules" in data
 
     def test_render_mentions_verdict(self):
-        report = run_fuzz(runs=6, quick=True)
-        text = report.render()
+        result = run_fuzz(runs=6, quick=True)
+        text = result.render()
         assert "verdict: OK" in text
         assert "distinct interleavings" in text

@@ -19,6 +19,7 @@ import pytest
 
 from repro.adversary import (
     DEFAULT_FALLBACK,
+    FuzzCampaignSpec,
     FuzzConfig,
     InstanceSpec,
     Reproducer,
@@ -28,6 +29,7 @@ from repro.adversary import (
     run_fuzz,
     verify_reproducer,
 )
+from repro.adversary.fuzz import _evaluate_case
 from repro.adversary.minimize import PatchedScheduler
 from repro.adversary.specs import build_scheduler
 from repro.errors import AdversaryError
@@ -126,11 +128,47 @@ class TestDdmin:
     def test_report_carries_agent_kwargs_for_cli_minimize(
         self, toctou_report
     ):
-        # The JSON report records the sweep's agent kwargs so the
+        # The JSON result records the sweep's agent kwargs so the
         # ``minimize`` subcommand can rebuild the exact failing
         # configuration from the file alone.
-        data = json.loads(toctou_report.to_json())
+        data = json.loads(json.dumps(toctou_report.to_dict()))
         assert data["agent_kwargs"] == {"matching": "toctou"}
+        assert all("choices" in row for row in data["failures"])
+
+    def test_cli_minimize_turns_the_fuzz_json_into_reproducers(
+        self, toctou_report, tmp_path
+    ):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(toctou_report.to_dict()))
+        artifacts = tmp_path / "reproducers"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.adversary",
+                "minimize",
+                str(path),
+                "--artifacts",
+                str(artifacts),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        failing = [row.index for row in toctou_report.failures]
+        assert proc.stdout.count("verified=True") == len(failing)
+        saved = sorted(artifacts.iterdir())
+        assert [p.name for p in saved] == [
+            f"repro-{index:04d}.json" for index in failing
+        ]
+        for artifact in saved:
+            loaded = Reproducer.load(str(artifact))
+            assert replay_reproducer(loaded).signature == loaded.failure
 
     def test_unsupported_artifact_version_is_rejected(self, minimized):
         data = minimized.reproducer.to_dict()
@@ -139,7 +177,11 @@ class TestDdmin:
             Reproducer.from_dict(data)
 
     def test_minimizing_a_green_row_is_an_error(self, toctou_report):
-        green = next(r for r in toctou_report.rows if not r.failed)
+        failing = {row.index for row in toctou_report.failures}
+        spec = FuzzCampaignSpec(instances=[K23], runs=120, config=TOCTOU)
+        index = next(i for i in range(spec.total) if i not in failing)
+        green = _evaluate_case(spec.task(index))
+        assert not green.failed
         with pytest.raises(AdversaryError):
             row_failure_signature(green)
         with pytest.raises(AdversaryError):

@@ -15,15 +15,14 @@ import pytest
 from repro.campaign import (
     CampaignEngine,
     CampaignSpec,
-    FailureKeeper,
     OutcomeCounter,
-    RowCollector,
     Shard,
     SignatureDedup,
+    Tally,
     read_spill,
 )
 from repro.errors import CampaignError
-from repro.obs.ledger import LedgerRow, RunLedger
+from repro.obs.ledger import Checkpoint, LedgerRow, RunLedger
 
 
 class ToyResult:
@@ -45,13 +44,11 @@ class ToySpec(CampaignSpec):
     kind = "toy"
     span_name = "toy.case"
 
-    def __init__(self, total: int = 20, collect: bool = False):
+    def __init__(self, total: int = 20):
         self._total = total
         self.campaign = f"toy:n={total}"
         self.counter = OutcomeCounter()
         self.dedup = SignatureDedup()
-        self.failures = FailureKeeper(self.case_failed)
-        self.collector = RowCollector() if collect else None
 
     @property
     def total(self) -> int:
@@ -81,10 +78,7 @@ class ToySpec(CampaignSpec):
         return result.index == 13  # one designated failure
 
     def stages(self):
-        stages = [self.counter, self.dedup, self.failures]
-        if self.collector is not None:
-            stages.append(self.collector)
-        return stages
+        return [self.counter, self.dedup]
 
     def describe(self):
         return {"kind": self.kind, "campaign": self.campaign, "n": self._total}
@@ -111,21 +105,44 @@ class TestShard:
 
 
 class TestEngineBasics:
-    def test_runs_without_ledger(self):
-        spec = ToySpec(total=10, collect=True)
-        result = CampaignEngine(spec).run()
+    def test_runs_without_ledger(self, tmp_path):
+        spill = str(tmp_path / "spill.jsonl")
+        result = CampaignEngine(ToySpec(total=10), spill=spill).run()
         assert result.processed == 10 and result.resumed == 0
         assert result.counts == {"even": 5, "odd": 5}
         assert result.digest is None
-        assert [r.index for r in spec.collector.rows] == list(range(10))
+        assert [r["index"] for r in read_spill(spill)] == list(range(10))
         assert result.complete
         assert result.failed == 0 and result.ok  # failing index 13 > total
 
     def test_failure_counting_and_keeper(self):
-        spec = ToySpec(total=20)
-        result = CampaignEngine(spec).run()
+        result = CampaignEngine(ToySpec(total=20)).run()
         assert result.failed == 1 and not result.ok
-        assert [r.index for r in spec.failures.kept] == [13]
+        assert [r.index for r in result.failures] == [13]
+        assert result.to_dict()["failures"] == [{"index": 13, "outcome": "odd"}]
+        assert "FAILED" in result.render()
+
+    def test_failures_are_bounded_but_all_counted(self, monkeypatch):
+        from repro.campaign import engine
+
+        monkeypatch.setattr(engine, "FAILURE_LIMIT", 2)
+        spec = ToySpec(total=10)
+        spec.case_failed = lambda result: result.outcome == "odd"
+        result = CampaignEngine(spec).run()
+        assert result.failed == 5
+        assert [r.index for r in result.failures] == [1, 3]
+
+    def test_counts_list_the_whole_vocabulary_in_order(self):
+        spec = ToySpec(total=3)
+        spec.outcomes = ("odd", "never", "even")
+        result = CampaignEngine(spec).run()
+        assert list(result.counts.items()) == [
+            ("odd", 1),
+            ("never", 0),
+            ("even", 2),
+        ]
+        rendered = result.render()
+        assert rendered.index("odd") < rendered.index("never")
 
     def test_resume_without_ledger_refused(self):
         with pytest.raises(CampaignError, match="resume requires a ledger"):
@@ -143,6 +160,19 @@ class TestEngineBasics:
             CampaignEngine(ToySpec(), checkpoint_every=0)
         with pytest.raises(CampaignError):
             CampaignEngine(ToySpec(), max_cases=-1)
+
+    def test_tally_sums_and_round_trips(self):
+        tally = Tally("weight", lambda result: result.index)
+        for i in range(5):
+            tally.observe(i, ToyResult(i))
+        assert tally.count == 10
+        clone = Tally("weight", lambda result: result.index)
+        clone.load_state(tally.state_dict())
+        assert clone.count == 10
+        flags = Tally("odd", lambda result: result.outcome == "odd")
+        for i in range(5):
+            flags.observe(i, ToyResult(i))
+        assert flags.count == 2
 
     def test_dedup_stage_flags_first_appearance(self):
         spec = ToySpec(total=6)
@@ -188,6 +218,29 @@ class TestCheckpointedRuns:
             CampaignEngine(other, led).run(resume=True)
         led.close()
 
+    def test_checkpoint_without_engine_state_refused(self, tmp_path):
+        """A checkpoint that carries stage counts but no engine failure
+        count (as an older engine wrote them) cannot be resumed: the
+        verdict would judge only the cases evaluated after it."""
+        led = RunLedger(str(tmp_path / "toy.db"))
+        engine = CampaignEngine(ToySpec(total=20), led)
+        led.append_with_checkpoint(
+            [],
+            Checkpoint(
+                kind="toy",
+                campaign="toy:n=20",
+                shard_index=0,
+                shard_count=1,
+                done=10,
+                fingerprint=engine.fingerprint(),
+                state={"outcomes": {"counts": {"even": 5, "odd": 5}}},
+            ),
+        )
+        with pytest.raises(CampaignError, match="no engine failure count"):
+            engine.run(resume=True)
+        assert led.count(kind="toy") == 0
+        led.close()
+
     def test_stage_state_survives_resume(self, tmp_path):
         """Kill-equivalent: run a prefix via max_cases-free sharded stop,
         then resume and check counters equal an uninterrupted run's."""
@@ -208,7 +261,11 @@ class TestCheckpointedRuns:
             def state_dict(self):
                 return None
 
+        def fails_twice(result):
+            return result.index in (3, 13)
+
         spec = ToySpec(total=20)
+        spec.case_failed = fails_twice
         spec_stages = spec.stages
 
         def with_bomb():
@@ -221,13 +278,19 @@ class TestCheckpointedRuns:
         assert cp is not None and cp.done == 10
         assert cp.state["outcomes"]["counts"] == {"even": 5, "odd": 5}
         assert sorted(cp.state["dedup"]["seen"]) == ["sig0", "sig1", "sig2"]
+        assert cp.state["engine"] == {"failed": 1}
 
         fresh = ToySpec(total=20)
+        fresh.case_failed = fails_twice
         result = CampaignEngine(fresh, led, checkpoint_every=5).run(
             resume=True
         )
         assert result.resumed == 10 and result.processed == 10
         assert result.counts == {"even": 10, "odd": 10}
+        # The verdict covers the whole shard; only this invocation's
+        # failing results are in memory.
+        assert result.failed == 2 and not result.ok
+        assert [r.index for r in result.failures] == [13]
         assert fresh.dedup.distinct == 3
         assert fresh.dedup.duplicates == 17
         assert led.count(kind="toy") == 20

@@ -1,11 +1,15 @@
-"""Property test: the streaming engine is observationally equal to the
-legacy in-memory sweep, for any worker count and shard split.
+"""Property test: the streamed counters agree with the rows themselves,
+for any worker count and shard split.
 
-For random grid specs the engine's streamed classification counts (and
-schedule-coverage counters, and retained failure rows) must equal what
-the legacy list-building path computes: ``build_cases``/``build_pairs``
-materialized and evaluated serially.  Sharded runs must *partition* the
-legacy totals — per-shard counters sum to the whole.
+The engine keeps no rows; the JSONL spill (:func:`read_spill`) carries
+every one.  For random grid specs, the run result's checkpointed
+counters — outcome counts, distinct schedules, audit failures, restart
+and stall totals — and its failing indices must equal what the spill
+implies, and the spilled rows must be the serial evaluation of
+``spec.task(i)``.  Sharded runs must *partition* the whole grid's
+totals: per-shard counters sum to the whole.  That the closed-form grids
+themselves have not moved is pinned by committed ledger digests
+(``test_digest_goldens.py``, ``test_frontend_digest_goldens.py``).
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -15,14 +19,13 @@ from repro.adversary.fuzz import (
     FuzzCampaignSpec,
     FuzzConfig,
     _evaluate_case,
-    build_cases,
     run_fuzz,
 )
-from repro.campaign import CampaignEngine, Shard
+from repro.campaign import CampaignEngine, Shard, read_spill
 from repro.fault.campaign import (
     CampaignConfig,
+    FaultCampaignSpec,
     _evaluate_pair,
-    build_pairs,
     run_campaign,
 )
 
@@ -33,19 +36,15 @@ SWEEP_SETTINGS = settings(
 )
 
 
-def _legacy_fuzz(runs: int, cfg: FuzzConfig):
-    """The pre-engine reference: materialize, map serially, dedup in order."""
-    spec = FuzzCampaignSpec(runs=runs, config=cfg, quick=True)
-    tasks = build_cases(spec.instances, runs, cfg)
-    rows = [_evaluate_case(t) for t in tasks]
-    seen: set = set()
-    for row in rows:
-        row.distinct = row.signature not in seen
-        seen.add(row.signature)
+def _counts(records):
     counts: dict = {}
-    for row in rows:
-        counts[row.outcome] = counts.get(row.outcome, 0) + 1
-    return rows, counts, len(seen)
+    for record in records:
+        counts[record["outcome"]] = counts.get(record["outcome"], 0) + 1
+    return counts
+
+
+def _nonzero(counts):
+    return {name: n for name, n in counts.items() if n}
 
 
 @given(
@@ -55,18 +54,32 @@ def _legacy_fuzz(runs: int, cfg: FuzzConfig):
     workers=st.sampled_from([1, 2]),
 )
 @SWEEP_SETTINGS
-def test_streamed_fuzz_counts_equal_legacy(runs, seed, fault_every, workers):
+def test_streamed_fuzz_counters_match_the_spill(
+    runs, seed, fault_every, workers, tmp_path_factory
+):
     cfg = FuzzConfig(seed=seed, fault_every=fault_every)
-    legacy_rows, legacy_counts, legacy_distinct = _legacy_fuzz(runs, cfg)
-
-    report = run_fuzz(
-        runs=runs, config=cfg, quick=True, workers=workers, stream=True
+    spill = str(tmp_path_factory.mktemp("fuzz") / "spill.jsonl")
+    result = run_fuzz(
+        runs=runs, config=cfg, quick=True, workers=workers, spill=spill
     )
-    assert {k: v for k, v in report.counts.items() if v} == legacy_counts
-    assert report.distinct_schedules == legacy_distinct
-    assert report.total_cases == runs
-    assert [r.index for r in report.rows] == [
-        r.index for r in legacy_rows if r.failed
+    records = read_spill(spill)
+    assert [r["case_index"] for r in records] == list(range(runs))
+
+    assert _nonzero(result.counts) == _counts(records)
+    signatures = [r["signature"] for r in records]
+    assert result.extras["distinct_schedules"] == len(set(signatures))
+    assert sum(r["distinct"] for r in records) == len(set(signatures))
+    assert result.extras["duplicate_schedules"] == runs - len(set(signatures))
+    assert [r.index for r in result.failures] == [
+        r["index"]
+        for r in records
+        if r["outcome"] in ("schedule-failure", "silent-wrong-answer")
+    ]
+
+    spec = FuzzCampaignSpec(runs=runs, config=cfg, quick=True)
+    serial = [_evaluate_case(spec.task(i)) for i in range(runs)]
+    assert [(r["outcome"], r["signature"]) for r in records] == [
+        (row.outcome, row.signature) for row in serial
     ]
 
 
@@ -76,20 +89,38 @@ def test_streamed_fuzz_counts_equal_legacy(runs, seed, fault_every, workers):
     shards=st.sampled_from([2, 3]),
 )
 @SWEEP_SETTINGS
-def test_sharded_fuzz_counters_partition_legacy_totals(runs, seed, shards):
+def test_sharded_fuzz_counters_partition_the_spill(
+    runs, seed, shards, tmp_path_factory
+):
     cfg = FuzzConfig(seed=seed)
-    _rows, legacy_counts, _distinct = _legacy_fuzz(runs, cfg)
+    spill = str(tmp_path_factory.mktemp("shards") / "spill.jsonl")
 
     summed: dict = {}
     observed = 0
+    failing = []
     for i in range(shards):
         spec = FuzzCampaignSpec(runs=runs, config=cfg, quick=True)
-        result = CampaignEngine(spec, shard=Shard(i, shards)).run()
+        engine = CampaignEngine(spec, shard=Shard(i, shards), spill=spill)
+        result = engine.run()
         observed += result.processed
+        failing += [row.index for row in result.failures]
         for name, n in result.counts.items():
             summed[name] = summed.get(name, 0) + n
-    assert observed == runs
-    assert {k: v for k, v in summed.items() if v} == legacy_counts
+        # Dedup is per shard: its coverage counter sees only its rows.
+        own = {
+            r["signature"]
+            for r in read_spill(spill)
+            if r["index"] % shards == i
+        }
+        assert result.extras["distinct_schedules"] == len(own)
+    records = read_spill(spill)
+    assert observed == runs == len(records)
+    assert _nonzero(summed) == _counts(records)
+    assert sorted(failing) == [
+        r["index"]
+        for r in records
+        if r["outcome"] in ("schedule-failure", "silent-wrong-answer")
+    ]
 
 
 @given(
@@ -98,34 +129,31 @@ def test_sharded_fuzz_counters_partition_legacy_totals(runs, seed, shards):
     workers=st.sampled_from([1, 2]),
 )
 @SWEEP_SETTINGS
-def test_streamed_fault_counts_equal_legacy(pairs, seed, workers):
+def test_streamed_fault_counters_match_the_spill(
+    pairs, seed, workers, tmp_path_factory
+):
     cfg = CampaignConfig(seed=seed)
-    spec_instances = None  # quick battery in both paths
-
-    from repro.fault.campaign import standard_battery
-
-    instances = standard_battery(quick=True)
-    tasks = build_pairs(instances, pairs, cfg)
-    legacy_rows = [_evaluate_pair(t) for t in tasks]
-    legacy_counts: dict = {}
-    for row in legacy_rows:
-        legacy_counts[row.outcome] = legacy_counts.get(row.outcome, 0) + 1
-
-    report = run_campaign(
-        pairs=pairs,
-        config=cfg,
-        quick=True,
-        workers=workers,
-        stream=True,
-        instances=spec_instances,
+    spill = str(tmp_path_factory.mktemp("fault") / "spill.jsonl")
+    result = run_campaign(
+        pairs=pairs, config=cfg, quick=True, workers=workers, spill=spill
     )
-    assert {k: v for k, v in report.counts.items() if v} == legacy_counts
-    assert report.total_pairs == pairs
-    assert report.streamed_audit_failures == sum(
-        1 for r in legacy_rows if r.audit_failures
+    records = read_spill(spill)
+    assert [r["case_index"] for r in records] == list(range(pairs))
+
+    assert _nonzero(result.counts) == _counts(records)
+    assert result.extras["audit_failures"] == sum(
+        1 for r in records if r["audit_failures"]
     )
-    assert [r.index for r in report.rows] == [
-        r.index
-        for r in legacy_rows
-        if r.outcome == "silent-wrong-answer" or r.audit_failures
+    assert result.extras["restarts"] == sum(r["restarts"] for r in records)
+    assert result.extras["stalls"] == sum(r["stalls"] for r in records)
+    assert [r.index for r in result.failures] == [
+        r["index"]
+        for r in records
+        if r["outcome"] == "silent-wrong-answer" or r["audit_failures"]
+    ]
+
+    spec = FaultCampaignSpec(pairs=pairs, config=cfg, quick=True)
+    serial = [_evaluate_pair(spec.task(i)) for i in range(pairs)]
+    assert records == [
+        dict(row.to_dict(), case_index=i) for i, row in enumerate(serial)
     ]

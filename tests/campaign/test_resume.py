@@ -38,7 +38,6 @@ run_fuzz(
     quick=True,
     workers=int(workers),
     ledger=ledger,
-    stream=True,
     shard=shard,
     resume=resume == "1",
     checkpoint_every=int(every),
@@ -117,7 +116,6 @@ def reference_digest(tmp_path_factory):
         quick=True,
         workers=1,
         ledger=path,
-        stream=True,
         checkpoint_every=CHECKPOINT_EVERY,
     )
     with RunLedger(path) as led:

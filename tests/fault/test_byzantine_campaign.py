@@ -1,6 +1,8 @@
 """The Byzantine campaign: classification, rates, digests, properties."""
 
+import dataclasses
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +13,7 @@ from repro.analysis.robustness import (
     power_outcome_table,
     render_detection_table,
 )
+from repro.campaign import read_spill
 from repro.fault.byzantine_campaign import (
     ABORTED,
     BYZ_OUTCOMES,
@@ -19,6 +22,7 @@ from repro.fault.byzantine_campaign import (
     SCENARIOS,
     ByzantineCampaignSpec,
     ByzantineConfig,
+    ByzantineRow,
     PowerRateStage,
     _evaluate_byz_pair,
     run_byzantine_campaign,
@@ -38,62 +42,122 @@ CONFIG = CampaignConfig(seed=0, timeout=200, max_restarts=2)
 BYZ_CONFIG = ByzantineConfig(seed=0, timeout=200, max_restarts=2)
 
 
+def _quick_sweep(tmp):
+    """The 16-case quick sweep and its spilled rows."""
+    spill = str(tmp / "rows.jsonl")
+    result = run_byzantine_campaign(
+        cases=16,
+        powers=(0, 2),
+        workers=1,
+        quick=True,
+        config=BYZ_CONFIG,
+        spill=spill,
+    )
+    return result, read_spill(spill)
+
+
 @pytest.fixture(scope="module")
-def quick_report():
-    return run_byzantine_campaign(
-        cases=16, powers=(0, 2), workers=1, quick=True, config=BYZ_CONFIG
+def quick_report(tmp_path_factory):
+    return _quick_sweep(tmp_path_factory.mktemp("byz"))
+
+
+def _observed(run):
+    """Everything a sweep reports that is not wall-clock time."""
+    result, rows = run
+    return (
+        result.counts,
+        result.extras,
+        [row.to_dict() for row in result.failures],
+        rows,
     )
 
 
 class TestClassification:
     def test_every_case_lands_in_the_vocabulary(self, quick_report):
-        assert len(quick_report.rows) == 16
-        assert all(r.outcome in BYZ_OUTCOMES for r in quick_report.rows)
-        assert sum(quick_report.counts.values()) == 16
+        result, rows = quick_report
+        assert len(rows) == 16
+        assert all(r["outcome"] in BYZ_OUTCOMES for r in rows)
+        assert list(result.counts) == list(BYZ_OUTCOMES)
+        assert sum(result.counts.values()) == 16
 
     def test_no_silent_wrong_answer_and_verdict_ok(self, quick_report):
-        assert quick_report.counts[IMPOSSIBLE] == 0
-        assert quick_report.ok
+        result, _ = quick_report
+        assert result.counts[IMPOSSIBLE] == 0
+        assert result.ok
 
     def test_power_zero_is_never_fooled(self, quick_report):
-        honest = [r for r in quick_report.rows if r.power == 0]
+        _, rows = quick_report
+        honest = [r for r in rows if r["power"] == 0]
         assert honest, "the grid must include a power-0 column"
-        assert all(r.outcome != FOOLED for r in honest)
+        assert all(r["outcome"] != FOOLED for r in honest)
         # Power 0 also never fires a Byzantine injection.
         for row in honest:
             assert not any(
                 k.startswith("byzantine-") or k.startswith("churn-")
-                for k in row.injections
+                for k in row["injections"]
             )
 
     def test_rows_carry_adversary_coordinates(self, quick_report):
+        _, rows = quick_report
         names = {name for name, _, _ in SCENARIOS}
-        assert all(r.scenario in names for r in quick_report.rows)
-        assert {r.power for r in quick_report.rows} <= {0, 2}
-        liars = [r for r in quick_report.rows if r.power == 2]
+        assert all(r["scenario"] in names for r in rows)
+        assert {r["power"] for r in rows} <= {0, 2}
+        liars = [r for r in rows if r["power"] == 2]
         assert any(
-            any(k.startswith("byzantine-") for k in r.injections)
+            any(k.startswith("byzantine-") for k in r["injections"])
             for r in liars
         ), "no power-2 case ever told a lie"
 
     def test_structural_audits_green(self, quick_report):
-        assert all(r.audit_failures == () for r in quick_report.rows)
+        result, rows = quick_report
+        assert all(r["audit_failures"] == [] for r in rows)
+        assert result.extras["audit_failures"] == 0
+        assert "audit-failures=0" in result.render()
 
     def test_report_surfaces_the_rate_table(self, quick_report):
-        table = quick_report.power_table()
-        assert set(table) <= {0, 2}
-        data = quick_report.to_dict()
+        result, _ = quick_report
+        assert set(result.extras["power_table"]) <= {"0", "2"}
+        data = result.to_dict()
         assert "power_table" in data and "detection_rates" in data
-        text = quick_report.render()
-        assert "byzantine campaign" in text
+        text = result.render()
+        assert "campaign byzantine:" in text
         assert "detection-rate" in text
         assert "verdict: OK" in text
 
-    def test_same_config_same_report(self, quick_report):
-        again = run_byzantine_campaign(
-            cases=16, powers=(0, 2), workers=1, quick=True, config=BYZ_CONFIG
+    def test_same_config_same_report(self, quick_report, tmp_path):
+        assert _observed(_quick_sweep(tmp_path)) == _observed(quick_report)
+
+    def test_fooled_case_fails_at_any_power(self):
+        spec = ByzantineCampaignSpec(cases=4, quick=True, config=BYZ_CONFIG)
+        row = ByzantineRow(
+            index=3,
+            instance="C5",
+            family="cycle",
+            plan="byz:forge:p2:plan0",
+            predicted=True,
+            outcome=FOOLED,
+            power=2,
+            scenario="forge",
         )
-        assert again.to_dict() == quick_report.to_dict()
+        assert spec.case_failed(row)
+        assert spec.case_failed(dataclasses.replace(row, power=0))
+        assert not spec.case_failed(
+            dataclasses.replace(row, outcome=DETECTED_CHEAT)
+        )
+        assert spec.failure_line(row).startswith("[p2:forge] FAILED #3")
+
+    def test_forged_visit_number_is_a_classified_detection(self):
+        # Seed 0, case 60 of the default grid: a forged dfs-visited sign
+        # makes an honest agent's map drawing lose its way home.  That is
+        # a loud ProtocolError, classified, never an uncaught KeyError.
+        spec = ByzantineCampaignSpec(config=ByzantineConfig(seed=0))
+        task = spec.task(60)
+        assert task[1].label == "Grid3x4[8,10]"
+        row = _evaluate_byz_pair(task)
+        assert (row.power, row.scenario) == (1, "forge")
+        assert row.outcome == DETECTED_CHEAT
+        assert row.detail.startswith("ProtocolError: map drawing")
+        assert not spec.case_failed(row)
 
 
 class TestDigestInvariance:
@@ -111,7 +175,6 @@ class TestDigestInvariance:
             quick=True,
             config=BYZ_CONFIG,
             ledger=led_path,
-            stream=True,
             shard=shard,
         )
         return led_path
@@ -139,27 +202,35 @@ class TestDigestInvariance:
 
 
 class TestFaultCampaignKnob:
-    def test_byzantine_mix_in_the_crash_campaign(self):
-        report = run_campaign(
+    def test_byzantine_mix_in_the_crash_campaign(self, tmp_path):
+        spill = str(tmp_path / "rows.jsonl")
+        result = run_campaign(
             pairs=8,
             workers=1,
             quick=True,
             config=CampaignConfig(
                 seed=0, timeout=200, max_restarts=2, byzantine=3
             ),
+            spill=spill,
         )
-        assert all(r.outcome in BYZ_OUTCOMES for r in report.rows)
-        assert report.counts.get(IMPOSSIBLE, 0) == 0
-        assert any("+byz" in r.plan for r in report.rows)
+        rows = read_spill(spill)
+        assert len(rows) == 8
+        assert all(r["outcome"] in BYZ_OUTCOMES for r in rows)
+        assert result.counts.get(IMPOSSIBLE, 0) == 0
+        assert any("+byz" in r["plan"] for r in rows)
 
 
 class TestPowerRateStage:
     def test_counts_and_checkpoint_round_trip(self, quick_report):
+        result, rows = quick_report
         stage = PowerRateStage()
-        for row in quick_report.rows:
-            stage.observe(row.index, row)
-        assert sum(stage.counts.values()) == len(quick_report.rows)
-        assert power_outcome_table(stage.counts) == quick_report.power_table()
+        for row in rows:
+            stage.observe(row["index"], SimpleNamespace(**row))
+        assert sum(stage.counts.values()) == len(rows)
+        assert power_outcome_table(stage.counts) == {
+            int(power): outcomes
+            for power, outcomes in result.extras["power_table"].items()
+        }
         clone = PowerRateStage()
         clone.load_state(stage.state_dict())
         assert clone.counts == stage.counts

@@ -124,12 +124,12 @@ class TestCampaignLedger:
         from repro.fault.campaign import CampaignConfig, run_campaign
 
         ledger = RunLedger(":memory:")
-        report = run_campaign(
+        result = run_campaign(
             pairs=8, config=CampaignConfig(seed=3), quick=True, ledger=ledger
         )
-        assert ledger.count(kind="fault") == len(report.rows)
+        assert ledger.count(kind="fault") == result.processed == 8
         assert ledger.outcomes(kind="fault") == {
-            k: v for k, v in report.counts.items() if v
+            k: v for k, v in result.counts.items() if v
         }
         row = ledger.rows(kind="fault", limit=1)[0]
         assert len(row["chash"]) == 64
@@ -158,12 +158,12 @@ class TestCampaignLedger:
         from repro.adversary.fuzz import FuzzConfig, run_fuzz
 
         ledger = RunLedger(":memory:")
-        report = run_fuzz(
+        result = run_fuzz(
             runs=10, config=FuzzConfig(seed=5), quick=True, ledger=ledger
         )
-        assert ledger.count(kind="fuzz") == len(report.rows)
+        assert ledger.count(kind="fuzz") == result.processed == 10
         assert ledger.outcomes(kind="fuzz") == {
-            k: v for k, v in report.counts.items() if v
+            k: v for k, v in result.counts.items() if v
         }
         ledger.close()
 

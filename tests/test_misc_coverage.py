@@ -1,7 +1,11 @@
 """Cross-cutting coverage: error hierarchy, runner guards, action helpers."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro import errors
 from repro.colors import ColorSpace
 from repro.core import Placement, run_election, run_quantitative
@@ -114,3 +118,17 @@ class TestPackageSurface:
 
         for name in groups.__all__:
             assert hasattr(groups, name), name
+
+    @pytest.mark.parametrize(
+        "package",
+        sorted(
+            info.name
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ),
+    )
+    def test_every_package_star_import_resolves(self, package):
+        module = importlib.import_module(f"repro.{package}")
+        namespace: dict = {}
+        exec(f"from repro.{package} import *", namespace)
+        assert set(module.__all__) <= set(namespace)
