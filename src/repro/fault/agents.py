@@ -13,8 +13,8 @@ Two design points that matter for recovery:
 
 * the dead wait is **re-yielded forever** — a spurious wake-up (a board
   change that happens to satisfy some predicate) can never resurrect a
-  crashed agent through the unreachable-code path the old
-  ``sim.faults.CrashAfter`` had;
+  crashed agent through the unreachable-code path the original crash
+  wrapper had;
 * the crash fires **once** (``crashed`` is a consumed flag) — when the
   watchdog restarts the agent from its home-base checkpoint, the fresh
   ``protocol()`` generator runs the inner protocol clean, which is exactly

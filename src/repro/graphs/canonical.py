@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import GraphError
 from ..groups.permgroup import orbits_of
 from ..perf import cache as _cache
-from ..perf.kernel import DigraphKernel, resolve_kernel
+from ..perf.kernel import DigraphKernel, use_digraph_kernel
 
 if False:  # pragma: no cover - typing only
     from .network import AnonymousNetwork
@@ -130,9 +130,7 @@ def _normalize_palette(colors: Sequence[Hashable]) -> List[int]:
     return [ranked[c] for c in colors]
 
 
-def digraph_refinement(
-    g: Digraph, initial: Sequence[int], kernel: Optional[str] = None
-) -> List[int]:
+def digraph_refinement(g: Digraph, initial: Sequence[int]) -> List[int]:
     """Coarsest equitable partition of a digraph refining ``initial``.
 
     Node signature = (class, sorted out-neighbor classes, sorted in-neighbor
@@ -140,13 +138,13 @@ def digraph_refinement(
     is isomorphism-invariant: isomorphic digraphs (with matching initial
     colorings) receive identical class-id structures.
 
-    ``kernel`` selects the backend (:data:`repro.perf.kernel.KERNELS`):
-    the numpy kernel reproduces this function's numbering bit-for-bit, so
-    canonical encodings — and the pinned ``canonical_hash`` goldens — are
-    identical under every backend.  ``"worklist"`` and ``"baseline"`` both
-    mean this Python reference (there is no splitter-queue variant here).
+    The backend follows the size rule
+    (:func:`repro.perf.kernel.use_digraph_kernel`): the Python reference
+    below the crossover, :class:`~repro.perf.kernel.DigraphKernel` from it
+    on.  The two number classes identically, so canonical encodings — and
+    the pinned ``canonical_hash`` goldens — do not depend on the backend.
     """
-    if resolve_kernel(kernel) == "numpy":
+    if use_digraph_kernel(g.num_nodes):
         return DigraphKernel(g).refine(initial)
     return _digraph_refinement_python(g, initial)
 
@@ -193,12 +191,13 @@ def _encode_ordering(g: Digraph, order: Sequence[int]) -> Encoding:
     return colors_row, bytes(bits)
 
 
-def _make_refiner(g: Digraph, kernel: Optional[str]):
+def _make_refiner(g: Digraph):
     """One refinement callable for a whole individualization–refinement
-    search: the numpy backend prebuilds the flat digraph buffers once and
-    reuses them across the hundreds of re-refinements the recursion makes.
+    search, by the same size rule as :func:`digraph_refinement`: the numpy
+    backend prebuilds the flat digraph buffers once and reuses them across
+    the hundreds of re-refinements the recursion makes.
     """
-    if resolve_kernel(kernel) == "numpy":
+    if use_digraph_kernel(g.num_nodes):
         return DigraphKernel(g).refine
     return lambda classes: _digraph_refinement_python(g, classes)
 
@@ -206,8 +205,11 @@ def _make_refiner(g: Digraph, kernel: Optional[str]):
 SearchResult = Tuple[CanonicalKey, Tuple[int, ...]]
 
 
-def _search(g: Digraph, kernel: Optional[str]) -> SearchResult:
+def _search(g: Digraph, refine: Callable[[List[int]], List[int]]) -> SearchResult:
     """One individualization–refinement search, pruned by automorphisms.
+
+    ``refine`` is the equitable refinement of ``g`` (from
+    :func:`_make_refiner`; either backend gives the same result).
 
     Returns the canonical key and the *first* leaf ordering (in search
     order) whose encoding is minimal.  Two leaves with equal encodings
@@ -221,7 +223,6 @@ def _search(g: Digraph, kernel: Optional[str]) -> SearchResult:
     an equal-encoding twin earlier in the unpruned search order.
     """
     n = g.num_nodes
-    refine = _make_refiner(g, kernel)
     generators: List[Tuple[int, ...]] = []
     path: List[int] = []  # individualized nodes, root first
     explored: List[List[int]] = []  # per depth: children finished so far
@@ -313,26 +314,24 @@ def _search(g: Digraph, kernel: Optional[str]) -> SearchResult:
     return (n, *best[0]), best[1]
 
 
-def canonical_search(g: Digraph, kernel: Optional[str] = None) -> SearchResult:
+def canonical_search(g: Digraph) -> SearchResult:
     """Canonical key and canonical node order of ``g`` from one search.
 
     Memoized on the (hashable, immutable) digraph under the
     ``canonical_key`` kind: the individualization–refinement search is by
     far the most expensive step of the Lemma 3.1 ordering, and the
-    batteries ask for the same surrounding digraphs repeatedly.  The
-    result is backend-independent (the kernels agree bit-for-bit), so the
-    memo key carries no ``kernel``.
+    batteries ask for the same surrounding digraphs repeatedly.
     """
-    return _cache.memo_value("canonical_key", g, lambda: _search(g, kernel))
+    return _cache.memo_value("canonical_key", g, lambda: _search(g, _make_refiner(g)))
 
 
-def canonical_encoding(g: Digraph, kernel: Optional[str] = None) -> Encoding:
+def canonical_encoding(g: Digraph) -> Encoding:
     """Minimum encoding over all refinement-consistent orderings.
 
     Implements individualization–refinement; leaves are discrete partitions,
     each giving a candidate encoding, and the minimum is canonical.
     """
-    _, colors_row, bits = canonical_search(g, kernel)[0]
+    _, colors_row, bits = canonical_search(g)[0]
     return colors_row, bits
 
 
@@ -346,7 +345,7 @@ def canonical_key(g: Digraph) -> CanonicalKey:
     return canonical_search(g)[0]
 
 
-def canonical_node_order(g: Digraph, kernel: Optional[str] = None) -> List[int]:
+def canonical_node_order(g: Digraph) -> List[int]:
     """A canonical ordering of the nodes (the argmin ordering).
 
     Ties across automorphic nodes are broken arbitrarily but consistently:
@@ -355,7 +354,7 @@ def canonical_node_order(g: Digraph, kernel: Optional[str] = None) -> List[int]:
     canonical encoding.  Used to pick canonical representatives
     deterministically and to carry per-class results between numberings.
     """
-    return list(canonical_search(g, kernel)[1])
+    return list(canonical_search(g)[1])
 
 
 def digraphs_isomorphic(a: Digraph, b: Digraph) -> bool:

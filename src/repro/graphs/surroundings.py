@@ -21,7 +21,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from ..perf import cache as _cache
-from ..perf.kernel import resolve_kernel, surrounding_arcs_numpy
+from ..perf.kernel import surrounding_arcs_numpy, use_digraph_kernel
 from .canonical import CanonicalKey, Digraph, canonical_key, digraph_refinement
 from .network import AnonymousNetwork
 from .views import _colors_key, _normalize_colors
@@ -33,7 +33,6 @@ def surrounding(
     network: AnonymousNetwork,
     u: int,
     node_colors: Optional[NodeColoring] = None,
-    kernel: Optional[str] = None,
 ) -> Digraph:
     """The surrounding ``S(u)`` as a colored :class:`Digraph`.
 
@@ -41,16 +40,16 @@ def surrounding(
     the surrounding of a multigraph would need arc multiplicities).
     Memoized per ``(network, u, coloring)``: :func:`surrounding_profile`
     and :func:`surrounding_key` both start from this digraph, and the
-    returned :class:`Digraph` is immutable so sharing is safe.  The
-    ``kernel`` selector picks how the arc list is computed (flat-array BFS
-    vs the per-edge Python loop); every backend produces the same digraph,
-    so the memo key is backend-free.
+    returned :class:`Digraph` is immutable so sharing is safe.  The arc
+    list comes from the flat-array BFS or the per-edge Python loop by the
+    digraph size rule (:func:`repro.perf.kernel.use_digraph_kernel`); both
+    build the same digraph.
     """
     return _cache.memo(
         network,
         "surrounding",
         (u, _colors_key(node_colors)),
-        lambda: _surrounding(network, u, node_colors, kernel),
+        lambda: _surrounding(network, u, node_colors),
     )
 
 
@@ -58,12 +57,11 @@ def _surrounding(
     network: AnonymousNetwork,
     u: int,
     node_colors: Optional[NodeColoring],
-    kernel: Optional[str] = None,
 ) -> Digraph:
     if not network.is_simple:
         raise GraphError("surroundings are defined for simple networks")
     colors = _normalize_colors(network, node_colors)
-    if resolve_kernel(kernel) == "numpy":
+    if use_digraph_kernel(network.num_nodes):
         arcs = surrounding_arcs_numpy(network, u)
     else:
         dist = network.distances_from(u)

@@ -11,12 +11,14 @@ Implementation notes
 * View equivalence is computed by **partition refinement**: start from the
   partition by node color, then split classes by the multiset of
   ``(exit-port, entry-port, neighbor's class)`` triples until stable.  The
-  production path (:func:`view_refinement`) runs a Paige–Tarjan style
-  *worklist* refinement: each newly created class is queued as a splitter
-  and only the nodes with an edge into a queued splitter are re-signed —
-  the "process all but the largest part" rule keeps the total work near
-  ``O(m log n)`` instead of the reference implementation's
-  all-nodes-every-round ``O(n·m)``.  The round-based reference
+  production path (:func:`view_refinement`) runs the flat-array numpy
+  kernel (:func:`repro.perf.kernel.refine_numpy`).  The pure-Python
+  Paige–Tarjan style *worklist* refinement (:func:`_refine_worklist`)
+  queues each newly created class as a splitter and re-signs only the
+  nodes with an edge into it — the "process all but the largest part"
+  rule keeps the total work near ``O(m log n)`` instead of the reference
+  implementation's all-nodes-every-round ``O(n·m)``; the kernel delegates
+  to it on hub-dominated graphs.  The round-based reference
   (:func:`view_refinement_baseline`) is kept verbatim: it is the Norris
   bound made executable, the oracle for the parity property tests, and the
   baseline the scaling benchmarks measure against.  Both handle loops and
@@ -59,13 +61,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from ..perf import cache as _cache
-from ..perf.kernel import (  # noqa: F401  (re-exported selector surface)
-    KERNELS,
-    default_kernel,
-    refine_numpy,
-    resolve_kernel,
-    set_default_kernel,
-)
+from ..perf.kernel import refine_numpy
 from .network import AnonymousNetwork, PortLabel
 
 NodeColoring = Sequence[Hashable]
@@ -207,7 +203,7 @@ def view_refinement_baseline(
 
 
 # ----------------------------------------------------------------------
-# Production implementation: Paige–Tarjan worklist refinement
+# Pure-Python Paige–Tarjan worklist refinement
 # ----------------------------------------------------------------------
 
 
@@ -328,42 +324,27 @@ def view_refinement(
     network: AnonymousNetwork,
     node_colors: Optional[NodeColoring] = None,
     max_rounds: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> List[int]:
     """The view-equivalence partition, as a class id per node.
 
-    The fixpoint partition is computed by the selected backend and memoized
-    per ``(network, kernel, coloring)``; the cache-miss count in
+    The fixpoint partition is computed by the flat-array numpy kernel
+    (:func:`repro.perf.kernel.refine_numpy`) and memoized per
+    ``(network, coloring)``; the cache-miss count in
     ``repro.perf.cache_stats()["view_refinement"]`` is the number of actual
-    refinement runs.  ``kernel`` selects the backend: ``"numpy"`` (the
-    flat-array vectorized kernel, the default), ``"worklist"`` (the
-    Paige–Tarjan splitter queue) or ``"baseline"`` (the seed
-    all-nodes-every-round loop); ``None`` resolves to the process default
-    (``repro.perf.kernel.set_default_kernel`` /
-    ``REPRO_REFINEMENT_KERNEL``).  All backends induce the same partition
-    with equivariant ids; the *numbering* is per-backend (each is
-    canonical on its own, which is all the id-based orders need).
-    ``max_rounds`` requests the depth-limited classes instead, which only
-    the round-based reference implementation defines — those calls bypass
-    the cache and the selector.
+    refinement runs.  The worklist (:func:`_refine_worklist`) and the
+    round-based reference (:func:`view_refinement_baseline`) induce the
+    same partition with equivariant ids of their own numbering; the parity
+    tests and the scaling benchmark call them directly.  ``max_rounds``
+    requests the depth-limited classes instead, which only the round-based
+    reference defines — those calls bypass the cache.
     """
     if max_rounds is not None:
         return view_refinement_baseline(network, node_colors, max_rounds)
-    backend = resolve_kernel(kernel)
-
-    def compute() -> Tuple[int, ...]:
-        if backend == "baseline":
-            return tuple(view_refinement_baseline(network, node_colors))
-        colors = _normalize_colors(network, node_colors)
-        if backend == "worklist":
-            return tuple(_refine_worklist(network, colors))
-        return tuple(refine_numpy(network, colors))
-
     ids = _cache.memo(
         network,
         "view_refinement",
-        (backend, _colors_key(node_colors)),
-        compute,
+        _colors_key(node_colors),
+        lambda: tuple(refine_numpy(network, _normalize_colors(network, node_colors))),
     )
     return list(ids)
 

@@ -12,11 +12,10 @@ funnels through the view-refinement and canonical-form machinery in
   ``compute_class_structure``, with hit/miss counters, an explicit
   ``invalidate`` and an ``uncached()`` escape hatch;
 * :mod:`repro.perf.kernel` — the flat-array refinement kernel: CSR-style
-  numpy buffers per network (:func:`flat_network`), the vectorized
-  refinement passes behind the ``kernel="numpy" | "worklist" | "baseline"``
-  selector (:func:`default_kernel` / :func:`set_default_kernel` /
-  ``REPRO_REFINEMENT_KERNEL``), and the exact-parity digraph kernel the
-  canonical machinery uses;
+  numpy buffers per network (:func:`flat_network`), the vectorized view
+  refinement (:func:`refine_numpy`), and the exact-parity digraph kernel
+  the canonical machinery uses from a measured node count on
+  (:func:`~repro.perf.kernel.use_digraph_kernel`);
 * :mod:`repro.perf.parallel` — :class:`ParallelBatteryRunner`, a
   ``concurrent.futures`` fan-out over independent election instances with
   deterministic result ordering (used by ``reproduce_table1`` and the
@@ -46,29 +45,18 @@ from .cache import (
     stats_rows,
     uncached,
 )
-from .kernel import (
-    KERNELS,
-    default_kernel,
-    flat_network,
-    refine_numpy,
-    resolve_kernel,
-    set_default_kernel,
-)
+from .kernel import flat_network, refine_numpy
 from .parallel import ParallelBatteryRunner, parallel_map
 from .shm import SharedNetworkHandle, attach_network, export_network
 
 __all__ = [
-    "KERNELS",
     "ParallelBatteryRunner",
     "SharedNetworkHandle",
     "attach_network",
-    "default_kernel",
     "export_network",
     "flat_network",
     "parallel_map",
     "refine_numpy",
-    "resolve_kernel",
-    "set_default_kernel",
     "cache_enabled",
     "cache_stats",
     "invalidate",

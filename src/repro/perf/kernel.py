@@ -32,24 +32,28 @@ hot path on flat integer arrays:
   distance k−1, and stability makes "has a neighbor in class D" a class
   property) — and it collapses the diameter-bound round count to a
   handful on the long-diameter families.
-* :func:`digraph_refine_numpy` — the equitable digraph refinement of
+* :class:`DigraphKernel` — the equitable digraph refinement of
   :func:`repro.graphs.canonical.digraph_refinement` as the same padded
   unique-rank pass.  Unlike the view kernel this reproduces the Python
   numbering **exactly** (the padded-row lexicographic order equals the
   Python tuple order because the pad ``-1`` sorts before every class id,
   matching the shorter-tuple-first rule), so canonical encodings,
-  ``canonical_key`` values and the pinned ``canonical_hash`` goldens are
-  bit-for-bit unchanged under the numpy backend.
+  ``canonical_key`` values and the pinned ``canonical_hash`` goldens do
+  not depend on which backend refined.
 
-Backend selection
------------------
-:func:`resolve_kernel` maps the user-facing selector to a backend name:
-``"numpy"`` (default), ``"worklist"`` (the Paige–Tarjan splitter queue) or
-``"baseline"`` (the seed all-nodes-every-round loop).  The process default
-can be overridden with :func:`set_default_kernel` or the
-``REPRO_REFINEMENT_KERNEL`` environment variable.  The pure-Python
-implementations are kept as parity oracles; the hypothesis suite pins all
-three to the same partition with equivariant ids.
+Backend dispatch
+----------------
+No selector: the backend follows from the input.  View refinement always
+runs :func:`refine_numpy`.  The digraph sites — the one-shot
+``digraph_refinement``, the refiner of the canonical search and the
+surroundings arc builder — ask :func:`use_digraph_kernel`, which picks the
+flat-array kernel from :data:`DIGRAPH_KERNEL_MIN_NODES` nodes on and the
+Python reference below it, where the kernel's per-call numpy overhead
+outweighs its vectorized rounds.  The rule reads only the node count,
+which isomorphic copies share, and both backends number classes alike, so
+every canonical key is the same whichever backend computed it.  The
+pure-Python view refinements (``_refine_worklist`` and
+``view_refinement_baseline``) stay as parity oracles.
 
 Degenerate guard: the padded signature matrix is Θ(n · Δ).  On irregular
 graphs with a huge hub (``n · Δ`` beyond ``DENSE_LIMIT`` cells) the numpy
@@ -60,12 +64,10 @@ equivariance is preserved.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import GraphError
 from . import cache as _cache
 
 try:  # C-speed BFS for the distance accelerator; optional.
@@ -77,9 +79,6 @@ except ImportError:  # pragma: no cover - exercised via the fallback tests
     _csr_matrix = None
     _csgraph_dijkstra = None
     HAVE_SCIPY = False
-
-#: The view-refinement backends, in preference order.
-KERNELS = ("numpy", "worklist", "baseline")
 
 #: Padded-signature cell budget before the numpy view backend delegates to
 #: the worklist (n · (Δ+1) int64 cells ≈ 8 bytes each; 64e6 ≈ 512 MB is
@@ -97,29 +96,28 @@ _PACK_LIMIT = 2**62
 
 _PAD = np.int64(-1)
 
-_default_kernel = os.environ.get("REPRO_REFINEMENT_KERNEL", "numpy")
+#: Node count from which the digraph sites refine on :class:`DigraphKernel`
+#: (the Python reference below it).  Chosen from the small-n sweep of
+#: ``benchmarks/bench_refinement_scaling.py``: canonical search and one-shot
+#: refinement on both backends, cycles, grids, tori, hypercubes, K_a,a and
+#: Petersen at n = 6..256 with two homes.  Python wins every search up to
+#: n = 36 (numpy 2-6x slower at n <= 16); at n = 64 numpy wins only on the
+#: cycle (0.80x) and loses 1.3-1.5x on the grid, torus and Q6; from n = 80
+#: it wins on cycles (0.69x) and costs on the other families level off to
+#: 0.8-1.2x.  The summed log numpy/python ratio (search plus one-shot) of
+#: the instances a threshold sends to numpy is least at 80: -7.3, tied with
+#: 96, against -5.3 at 64 (medians of four sweeps, 2-vCPU Xeon, 2.1 GHz).
+DIGRAPH_KERNEL_MIN_NODES = 80
+
+
+def use_digraph_kernel(num_nodes: int) -> bool:
+    """The dispatch rule of the digraph sites: numpy from the crossover on."""
+    return num_nodes >= DIGRAPH_KERNEL_MIN_NODES
 
 
 def default_kernel() -> str:
-    """The process-wide default backend (see :func:`set_default_kernel`)."""
-    return _default_kernel
-
-
-def set_default_kernel(kernel: str) -> str:
-    """Set the process-wide default backend; returns the previous one."""
-    global _default_kernel
-    if kernel not in KERNELS:
-        raise GraphError(f"unknown refinement kernel {kernel!r}; choose from {KERNELS}")
-    previous, _default_kernel = _default_kernel, kernel
-    return previous
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Validate an explicit selector, or resolve ``None`` to the default."""
-    name = _default_kernel if kernel is None else kernel
-    if name not in KERNELS:
-        raise GraphError(f"unknown refinement kernel {name!r}; choose from {KERNELS}")
-    return name
+    """The name of the dispatch rule (benchmark metadata records it)."""
+    return f"numpy-views+digraphs-from-n{DIGRAPH_KERNEL_MIN_NODES}"
 
 
 # ----------------------------------------------------------------------
@@ -472,9 +470,8 @@ class DigraphKernel:
     """Flat buffers for one :class:`~repro.graphs.canonical.Digraph`.
 
     Prebuilt once per individualization–refinement search and reused by
-    every :func:`digraph_refine_numpy` call in the recursion (the search
-    re-refines the same digraph hundreds of times with different initial
-    cells).
+    every refinement in the recursion (the search re-refines the same
+    digraph hundreds of times with different initial cells).
     """
 
     __slots__ = (
@@ -521,10 +518,13 @@ class DigraphKernel:
         equals the Python ``(class, out tuple, in tuple)`` order (the pad
         sorts before every id, which is the shorter-tuple-first rule), so
         each round's dense ranking — and hence the final numbering — is
-        identical to the reference.
+        identical to the reference.  The initial coloring is re-ranked to
+        dense ids first: the re-rank is monotone, so it keeps the
+        reference's tuple order, and it keeps every id above the pad even
+        when the caller's colors are negative.
         """
         n = self.n
-        cls = np.asarray(list(initial), dtype=np.int64)
+        cls, num = _rank1d(np.asarray(list(initial), dtype=np.int64))
         mat = np.empty((n, self.max_out + self.max_in), dtype=np.int64)
         while True:
             mat[:] = _PAD
@@ -536,16 +536,11 @@ class DigraphKernel:
                 vals = cls[self.in_idx]
                 order = np.lexsort((vals, self.in_owner))
                 mat[self.in_owner, self.in_col + self.max_out] = vals[order]
-            comb, num = _rank1d(cls)
-            new_cls, _ = _rank_cols(comb, num, mat.T)
-            if np.array_equal(new_cls, cls):
+            new_cls, new_num = _rank_cols(cls, num, mat.T)
+            if new_num == num:
+                # No class split, so the re-rank reproduced ``cls``.
                 return cls.tolist()
-            cls = new_cls
-
-
-def digraph_refine_numpy(g: Any, initial: Sequence[int]) -> List[int]:
-    """One-shot vectorized equitable refinement of a digraph."""
-    return DigraphKernel(g).refine(initial)
+            cls, num = new_cls, new_num
 
 
 # ----------------------------------------------------------------------

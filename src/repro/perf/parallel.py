@@ -36,7 +36,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..obs.registry import get_registry
 from . import shm as _shm
-from .kernel import default_kernel, set_default_kernel
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -101,11 +100,7 @@ class ParallelBatteryRunner:
                 if self.executor == "thread":
                     self._pool = ThreadPoolExecutor(max_workers=self.workers)
                 else:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        initializer=_worker_init,
-                        initargs=(default_kernel(),),
-                    )
+                    self._pool = ProcessPoolExecutor(max_workers=self.workers)
             return self._pool
 
     def close(self) -> None:
@@ -239,12 +234,6 @@ class _Attached:
 
     def __call__(self, item: Any) -> Any:
         return self.fn(_shm.attach_network(self.handle), item)
-
-
-def _worker_init(kernel: str) -> None:
-    """Process-pool initializer: mirror the parent's refinement backend so a
-    parallel battery computes with exactly the kernels serial would use."""
-    set_default_kernel(kernel)
 
 
 def parallel_map(

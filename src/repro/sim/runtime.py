@@ -121,7 +121,6 @@ class SimulationResult:
     positions: List[int] = field(default_factory=list)
     deadlocked: bool = False
     blocked_reasons: List[str] = field(default_factory=list)
-    trace: List[Tuple[int, str, Tuple[int, ...]]] = field(default_factory=list)
     #: Per-agent watchdog restart counts (all zero without a watchdog).
     restarts: List[int] = field(default_factory=list)
     #: ``(step, agent, blocked_for)`` stall classifications from the watchdog.
@@ -157,8 +156,6 @@ class Simulation:
         If True, a deadlock ends the run with ``deadlocked=True`` instead of
         raising — used by impossibility-side experiments where symmetric
         executions legitimately get stuck.
-    collect_trace:
-        Record :class:`~repro.sim.actions.Log` events.
     port_shuffle_seed:
         Seed of the per-(agent, node) port-presentation shuffle.
     trace:
@@ -200,7 +197,6 @@ class Simulation:
         initially_awake: Optional[Sequence[int]] = None,
         max_steps: Optional[int] = None,
         deadlock_ok: bool = False,
-        collect_trace: bool = False,
         port_shuffle_seed: int = 0,
         trace: Optional[Any] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -244,8 +240,6 @@ class Simulation:
             max_steps = 2_000 + 600 * r * r * (m + n)
         self.max_steps = max_steps
         self.deadlock_ok = deadlock_ok
-        self.collect_trace = collect_trace
-        self._trace: List[Tuple[int, str, Tuple[int, ...]]] = []
         self._port_seed = port_shuffle_seed
         # A sink may declare itself disabled (NullSink does): the runtime
         # then skips event construction entirely, so "tracing wired but
@@ -615,8 +609,6 @@ class Simulation:
                 )
             return None  # no value sent until unblocked
         if isinstance(action, Log):
-            if self.collect_trace:
-                self._trace.append((idx, action.event, tuple(action.data)))
             if self._sink is not None:
                 self._emit(
                     self._tev.LOG,
@@ -881,7 +873,6 @@ class Simulation:
             positions=[rec.node for rec in self.records],
             deadlocked=deadlocked,
             blocked_reasons=reasons or [],
-            trace=self._trace,
             restarts=[rec.restarts for rec in self.records],
             stall_events=(
                 list(self.watchdog.stall_events)

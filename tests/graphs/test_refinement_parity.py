@@ -3,9 +3,9 @@
 Four independent computations of view equivalence must induce the *same
 partition* on every network (simple, multi-edge, or looped):
 
-* the flat-array numpy kernel (``view_refinement`` with ``kernel="numpy"``,
-  the production default),
-* the Paige–Tarjan worklist refinement (``kernel="worklist"``),
+* the flat-array numpy kernel (``refine_numpy``, what ``view_refinement``
+  runs),
+* the Paige–Tarjan worklist refinement (``_refine_worklist``),
 * the round-based reference implementation (``view_refinement_baseline``,
   the Norris bound made executable), and
 * grouping nodes by their depth-``(n-1)`` :func:`view_tree` encodings
@@ -27,11 +27,24 @@ from repro.graphs.builders import cycle_graph, petersen_graph
 from repro.graphs.cayley import hypercube_cayley, torus_cayley
 from repro.graphs.network import AnonymousNetwork
 from repro.graphs.views import (
+    _normalize_colors,
+    _refine_worklist,
     view_refinement,
     view_refinement_baseline,
     view_tree,
 )
-from repro.perf import KERNELS, uncached
+from repro.perf import refine_numpy, uncached
+
+#: The three view-refinement backends, called directly.
+BACKENDS = {
+    "numpy": lambda net, colors=None: refine_numpy(
+        net, _normalize_colors(net, colors)
+    ),
+    "worklist": lambda net, colors=None: _refine_worklist(
+        net, _normalize_colors(net, colors)
+    ),
+    "baseline": view_refinement_baseline,
+}
 
 SETTINGS = settings(
     max_examples=60,
@@ -100,7 +113,7 @@ def colored_networks(draw, max_nodes=7, allow_nonsimple=True):
 def test_worklist_matches_baseline_partition(case):
     net, colors = case
     with uncached():
-        worklist = view_refinement(net, colors)
+        worklist = BACKENDS["worklist"](net, colors)
         baseline = view_refinement_baseline(net, colors)
     assert partition_of(worklist) == partition_of(baseline)
 
@@ -170,23 +183,23 @@ def test_all_backends_same_partition(case):
     net, colors = case
     with uncached():
         parts = {
-            k: partition_of(view_refinement(net, colors, kernel=k))
-            for k in KERNELS
+            k: partition_of(BACKENDS[k](net, colors))
+            for k in BACKENDS
         }
     assert parts["numpy"] == parts["worklist"] == parts["baseline"]
 
 
 @SETTINGS
-@given(port_networks(), st.integers(0, 2**30), st.sampled_from(KERNELS))
-def test_backend_ids_equivariant_under_renumbering(net, perm_seed, kernel):
-    """Each backend's ids are canonical, not just the default's."""
+@given(
+    port_networks(), st.integers(0, 2**30), st.sampled_from(sorted(BACKENDS))
+)
+def test_backend_ids_equivariant_under_renumbering(net, perm_seed, backend):
+    """Each backend's ids are canonical, not just the production kernel's."""
     perm = list(range(net.num_nodes))
     random.Random(perm_seed).shuffle(perm)
     with uncached():
-        ids = view_refinement(net, kernel=kernel)
-        permuted_ids = view_refinement(
-            net.with_nodes_permuted(perm), kernel=kernel
-        )
+        ids = BACKENDS[backend](net)
+        permuted_ids = BACKENDS[backend](net.with_nodes_permuted(perm))
     assert all(permuted_ids[perm[v]] == ids[v] for v in net.nodes())
 
 
@@ -210,10 +223,10 @@ def test_backends_agree_on_relabeled_port_shifted_copies(net, perm_seed):
     )
     with uncached():
         base = {
-            k: partition_of(view_refinement(net, kernel=k)) for k in KERNELS
+            k: partition_of(BACKENDS[k](net)) for k in BACKENDS
         }
         shifted = {
-            k: partition_of(view_refinement(copy, kernel=k)) for k in KERNELS
+            k: partition_of(BACKENDS[k](copy)) for k in BACKENDS
         }
     assert base["numpy"] == base["worklist"] == base["baseline"]
     assert shifted["numpy"] == shifted["worklist"] == shifted["baseline"]
@@ -242,7 +255,7 @@ def test_backends_agree_on_structured_families(name, build):
     for colors in colorings:
         with uncached():
             parts = [
-                partition_of(view_refinement(net, colors, kernel=k))
-                for k in KERNELS
+                partition_of(BACKENDS[k](net, colors))
+                for k in BACKENDS
             ]
         assert parts[0] == parts[1] == parts[2], (name, colors)

@@ -1,34 +1,20 @@
-"""Smoke tests for the flat-array refinement kernel and its selector.
+"""Smoke tests for the flat-array refinement kernel.
 
 Fast tier-1 coverage of the backend surface: numpy-vs-worklist partition
-parity on one pointed instance per benchmark family, the selector's
-error/default/env contracts, the dense-limit delegation guard, and the
-surroundings fast path.  The exhaustive parity properties live in
-``tests/graphs/test_refinement_parity.py``; this file is the cheap canary
+parity on one pointed instance per benchmark family, the dense-limit
+delegation guard, and the surroundings fast path.  The exhaustive parity
+properties live in ``tests/graphs/test_refinement_parity.py`` and
+``tests/graphs/test_digraph_backends.py``; this file is the cheap canary
 that runs on every CI job.
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-import repro
-from repro.errors import GraphError
+from repro.graphs import surroundings
 from repro.graphs.builders import cycle_graph, petersen_graph, random_connected_graph
 from repro.graphs.cayley import hypercube_cayley, torus_cayley
-from repro.graphs.surroundings import surrounding
-from repro.graphs.views import view_refinement
-from repro.perf import (
-    KERNELS,
-    default_kernel,
-    flat_network,
-    refine_numpy,
-    resolve_kernel,
-    set_default_kernel,
-    uncached,
-)
+from repro.graphs.views import _refine_worklist
+from repro.perf import flat_network, refine_numpy, uncached
 from repro.perf import kernel as kernel_mod
 
 FAMILIES = [
@@ -52,48 +38,9 @@ def test_numpy_matches_worklist_per_family(name, build):
     net = build()
     colors = [1] + [0] * (net.num_nodes - 1)  # pointed: the hard case
     with uncached():
-        numpy_ids = view_refinement(net, colors, kernel="numpy")
-        worklist_ids = view_refinement(net, colors, kernel="worklist")
+        numpy_ids = refine_numpy(net, colors)
+        worklist_ids = _refine_worklist(net, colors)
     assert partition_of(numpy_ids) == partition_of(worklist_ids)
-
-
-def test_selector_rejects_unknown_kernels():
-    with pytest.raises(GraphError, match="unknown refinement kernel"):
-        resolve_kernel("cython")
-    with pytest.raises(GraphError, match="unknown refinement kernel"):
-        set_default_kernel("cython")
-    with pytest.raises(GraphError, match="unknown refinement kernel"):
-        view_refinement(cycle_graph(4), kernel="cython")
-
-
-def test_default_kernel_roundtrip():
-    previous = set_default_kernel("worklist")
-    try:
-        assert default_kernel() == "worklist"
-        assert resolve_kernel(None) == "worklist"
-        assert resolve_kernel("numpy") == "numpy"  # explicit beats default
-    finally:
-        set_default_kernel(previous)
-    assert default_kernel() == previous
-
-
-def test_env_variable_sets_process_default():
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ, REPRO_REFINEMENT_KERNEL="worklist", PYTHONPATH=src_dir)
-    out = subprocess.run(
-        [sys.executable, "-c", "from repro.perf import default_kernel; print(default_kernel())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "worklist"
-
-
-def test_kernels_tuple_is_the_public_contract():
-    assert KERNELS == ("numpy", "worklist", "baseline")
-    for k in KERNELS:
-        assert resolve_kernel(k) == k
 
 
 def test_dense_limit_delegates_to_worklist(monkeypatch):
@@ -114,11 +61,14 @@ def test_flat_network_is_memoized_per_network():
     assert flat_network(net).n == 6
 
 
-def test_surrounding_backends_build_the_same_digraph():
+def test_surrounding_backends_build_the_same_digraph(monkeypatch):
     for name, build in FAMILIES:
         net = build()
         for u in (0, net.num_nodes // 2):
-            with uncached():
-                fast = surrounding(net, u, kernel="numpy")
-                slow = surrounding(net, u, kernel="worklist")
-            assert fast == slow, (name, u)
+            built = {}
+            for on_numpy in (True, False):
+                monkeypatch.setattr(
+                    surroundings, "use_digraph_kernel", lambda n, v=on_numpy: v
+                )
+                built[on_numpy] = surroundings._surrounding(net, u, None)
+            assert built[True] == built[False], (name, u)

@@ -9,9 +9,9 @@ from repro.colors import ColorSpace
 from repro.core import Placement
 from repro.core.elect import ElectAgent
 from repro.errors import DeadlockError
+from repro.fault import FaultedAgent
 from repro.graphs import complete_bipartite_graph, cycle_graph
 from repro.sim import Agent, Log, Simulation, TryAcquire, WaitUntil
-from repro.sim.faults import CrashAfter, CrashOnKind
 from repro.trace import MemorySink, ReplayScheduler, assert_invariants
 
 
@@ -22,9 +22,9 @@ def build_agents(count, crash_index=None, crash_after=50, crash_kind=None):
         agent = ElectAgent(space.fresh(), rng=random.Random(i))
         if i == crash_index:
             if crash_kind is not None:
-                agent = CrashOnKind(agent, crash_kind)
+                agent = FaultedAgent(agent, crash_on=crash_kind)
             else:
-                agent = CrashAfter(agent, crash_after)
+                agent = FaultedAgent(agent, crash_after=crash_after)
         agents.append(agent)
     return agents
 
@@ -130,24 +130,11 @@ class TestCrashFaults:
             e.to_dict() for e in replayed.events
         ]
 
-    def test_aliases_delegate_into_the_fault_layer(self):
-        # sim.faults is now a thin compatibility shim over repro.fault.
-        from repro.fault import FaultedAgent
-
-        space = ColorSpace()
-        inner = ElectAgent(space.fresh(), rng=random.Random(0))
-        wrapped = CrashAfter(inner, 7)
-        assert wrapped.inner is inner and wrapped.crash_at == 7
-        assert isinstance(wrapped._impl, FaultedAgent)
-        kinded = CrashOnKind(inner, TryAcquire)
-        assert kinded.action_type is TryAcquire
-        assert isinstance(kinded._impl, FaultedAgent)
-
     def test_spurious_wakeup_cannot_resurrect_a_crashed_agent(self):
-        # The original CrashAfter asserted (unreachably, it believed) that
-        # its dead wait was never satisfied; a board change that satisfied
-        # a predicate turned the crash into an AssertionError.  The fault
-        # layer re-yields the dead wait forever instead.
+        # The original crash wrapper asserted (unreachably, it believed)
+        # that its dead wait was never satisfied; a board change that
+        # satisfied a predicate turned the crash into an AssertionError.
+        # FaultedAgent re-yields the dead wait forever instead.
         class ChattyAgent(Agent):
             def protocol(self, start):
                 yield Log("a", ())
@@ -155,7 +142,7 @@ class TestCrashFaults:
                 return "done"
 
         space = ColorSpace()
-        wrapped = CrashAfter(ChattyAgent(space.fresh()), 1)
+        wrapped = FaultedAgent(ChattyAgent(space.fresh()), crash_after=1)
         gen = wrapped.protocol(None)
         first = next(gen)
         assert isinstance(first, Log)
