@@ -46,10 +46,6 @@ from .result import AgentReport, Verdict
 class CayleyElectAgent(ElectAgent):
     """ELECT with the Theorem 4.1 feasibility test for Cayley graphs."""
 
-    def __init__(self, *args, automorphism_limit: int = 1_000_000, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.automorphism_limit = automorphism_limit
-
     def _check_feasibility(
         self,
         local_map: LocalMap,
@@ -60,9 +56,7 @@ class CayleyElectAgent(ElectAgent):
         bicolor = local_map.bicoloring()
         blacks = {v for v, c in enumerate(bicolor) if c == 1}
 
-        autos = color_preserving_automorphisms(
-            network, node_colors=None, limit=self.automorphism_limit
-        )
+        autos = color_preserving_automorphisms(network)
         subgroups = find_regular_subgroups(autos, network.num_nodes)
         if not subgroups:
             return AgentReport(verdict=Verdict.NOT_CAYLEY)

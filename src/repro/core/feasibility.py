@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import RecognitionError
 from ..graphs.automorphisms import (
+    automorphism_group,
     color_preserving_automorphisms,
     label_equivalence_classes,
 )
@@ -91,9 +92,9 @@ class TranslationCertificate:
 def regular_subgroups_of(network: AnonymousNetwork) -> List[Tuple[Permutation, ...]]:
     """Regular subgroups of the uncolored automorphism group, memoized.
 
-    ``classify`` consults this in up to three branches per instance (and
-    the Table 1 batteries re-classify the same networks under many
-    placements); the subgroup search runs once per network.
+    :func:`translation_certificates` reads every subgroup, and callers ask
+    for the certificates of one network under many placements; the
+    subgroup search runs once per network.
     """
     cached = _perf_cache.memo(
         network,
@@ -107,6 +108,18 @@ def regular_subgroups_of(network: AnonymousNetwork) -> List[Tuple[Permutation, .
         ),
     )
     return [tuple(sub) for sub in cached]
+
+
+def _has_regular_subgroup(network: AnonymousNetwork) -> bool:
+    """Whether ``Aut(G)`` has a regular subgroup (Sabidussi: G is Cayley).
+
+    An intransitive group has none, which the chain's orbits show without
+    enumerating anything.
+    """
+    if not automorphism_group(network).is_transitive():
+        return False
+    autos = color_preserving_automorphisms(network)
+    return bool(find_regular_subgroups(autos, network.num_nodes, limit=1))
 
 
 def translation_certificates(
@@ -174,7 +187,6 @@ class Classification:
     verdict: Feasibility
     reason: str
     elect: ElectPrediction
-    translation: Tuple[TranslationCertificate, ...] = ()
 
 
 def classify(network: AnonymousNetwork, placement: Placement) -> Classification:
@@ -184,14 +196,17 @@ def classify(network: AnonymousNetwork, placement: Placement) -> Classification:
     * A color-preserving automorphism whose cyclic group acts freely yields
       a symmetric labeling (the generalized Theorem 4.1 construction —
       :mod:`repro.graphs.symmetric_labelings`) and hence a Theorem 2.1
-      impossibility proof.  On Cayley graphs this subsumes the
-      regular-subgroup criterion, whose certificates are still attached as
-      corroborating evidence.
+      impossibility proof.  The search for one is exact.
+    * Otherwise a Cayley graph is POSSIBLE by Theorem 4.1's feasibility
+      side: a regular subgroup whose black-preserving stabilizer were
+      nontrivial would contain a translation, which acts freely — so with
+      no free automorphism every translation certificate is trivial, and
+      only the existence of a regular subgroup is asked.
     * Otherwise the instance lands in the paper's open problem: UNKNOWN
       (e.g. the Petersen instance of Figure 5, where a bespoke protocol is
       known — our harness upgrades such instances to POSSIBLE explicitly).
     """
-    from ..graphs.symmetric_labelings import free_automorphism_certificate
+    from ..graphs.symmetric_labelings import find_free_automorphism
 
     prediction = elect_prediction(network, placement)
     if prediction.succeeds:
@@ -200,12 +215,7 @@ def classify(network: AnonymousNetwork, placement: Placement) -> Classification:
             reason="gcd of equivalence classes is 1; ELECT elects (Thm 3.1)",
             elect=prediction,
         )
-    bicolor = placement.bicoloring(network)
-    certificate = free_automorphism_certificate(network, bicolor)
-    if certificate is not None:
-        translation: Tuple[TranslationCertificate, ...] = ()
-        if regular_subgroups_of(network):
-            translation = tuple(translation_certificates(network, placement))
+    if find_free_automorphism(network, placement.bicoloring(network)) is not None:
         return Classification(
             verdict=Feasibility.IMPOSSIBLE,
             reason=(
@@ -214,20 +224,8 @@ def classify(network: AnonymousNetwork, placement: Placement) -> Classification:
                 "generalized Thm 4.1 construction)"
             ),
             elect=prediction,
-            translation=translation,
         )
-    if regular_subgroups_of(network):
-        certs = translation_certificates(network, placement)
-        if any(c.proves_impossible for c in certs):
-            return Classification(
-                verdict=Feasibility.IMPOSSIBLE,
-                reason=(
-                    "Cayley graph with a regular subgroup whose "
-                    "black-preserving stabilizer is nontrivial (Thm 4.1)"
-                ),
-                elect=prediction,
-                translation=tuple(certs),
-            )
+    if _has_regular_subgroup(network):
         return Classification(
             verdict=Feasibility.POSSIBLE,
             reason=(
@@ -235,7 +233,6 @@ def classify(network: AnonymousNetwork, placement: Placement) -> Classification:
                 "(Thm 4.1 feasibility side)"
             ),
             elect=prediction,
-            translation=tuple(certs),
         )
     return Classification(
         verdict=Feasibility.UNKNOWN,

@@ -5,8 +5,12 @@ Two notions from the paper, Section 2:
 * **Equivalence** (Definition 2.1): ``x ~ y`` iff some *color-preserving*
   automorphism of the bi-colored graph ``(G, p)`` maps ``x`` to ``y``.
   Equivalence classes are orbits of the color-preserving automorphism group
-  — the classes ``C_1, …, C_k`` that protocol ELECT reduces over.
-  Computed by partition-refinement-pruned backtracking (simple graphs).
+  — the classes ``C_1, …, C_k`` that protocol ELECT reduces over.  The
+  group is generated by the automorphisms the canonical search of the
+  colored underlying graph finds (:func:`repro.graphs.canonical.canonical_search`,
+  simple graphs); its order, membership and elements come from a
+  stabilizer chain over them
+  (:class:`repro.groups.permgroup.GeneratedPermutationGroup`).
 
 * **Label-equivalence** (Definition 2.2): ``x ~lab y`` iff some automorphism
   preserving both node colors and *port labels at both edge-ends* maps ``x``
@@ -19,47 +23,52 @@ Two notions from the paper, Section 2:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
-from ..groups.permgroup import orbits_of
+from ..groups.permgroup import GeneratedPermutationGroup, orbits_of
 from ..groups.symmetric import Permutation
 from ..perf import cache as _cache
+from .canonical import Digraph, canonical_search, digraph_refinement, underlying_digraph
 from .network import AnonymousNetwork
 from .views import _colors_key, _normalize_colors
 
 NodeColoring = Sequence[Hashable]
 
 
-# ----------------------------------------------------------------------
-# Equitable partition refinement (WL-1), shared pruning machinery
-# ----------------------------------------------------------------------
+def automorphism_group(
+    network: AnonymousNetwork,
+    node_colors: Optional[NodeColoring] = None,
+) -> GeneratedPermutationGroup:
+    """The automorphism group of the simple graph preserving ``node_colors``.
 
+    Port labels are ignored (this is Definition 2.1 — automorphisms of the
+    underlying bi-colored graph).  Generated by the automorphisms of the
+    canonical search of the colored underlying graph, on a stabilizer
+    chain whose base starts with that search's first path; the group is
+    never enumerated unless :meth:`~GeneratedPermutationGroup.elements` is
+    asked for.
 
-def equitable_refinement(
-    adjacency: Sequence[Set[int]], initial: Sequence[int]
-) -> List[int]:
-    """Coarsest equitable partition refining ``initial`` (1-WL fixpoint).
-
-    Signature of a node = (its class, sorted multiset of neighbor classes).
-    Any automorphism preserving ``initial`` preserves the result, so classes
-    of the refinement are unions of automorphism orbits — the pruning
-    invariant used by the backtracking search.
+    Raises :class:`GraphError` on non-simple networks.  Memoized per
+    ``(network, coloring)``.
     """
-    classes = list(initial)
-    n = len(adjacency)
-    while True:
-        sigs = [
-            (classes[x], tuple(sorted(classes[y] for y in adjacency[x])))
-            for x in range(n)
-        ]
-        # Ids assigned by *sorted* signature so that isomorphic inputs get
-        # structurally identical id vectors (required by the witness search).
-        palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new_classes = [palette[sig] for sig in sigs]
-        if new_classes == classes:
-            return classes
-        classes = new_classes
+    return _cache.memo(
+        network,
+        "automorphism_group",
+        _colors_key(node_colors),
+        lambda: _automorphism_group(network, node_colors),
+    )
+
+
+def _automorphism_group(
+    network: AnonymousNetwork, node_colors: Optional[NodeColoring]
+) -> GeneratedPermutationGroup:
+    if not network.is_simple:
+        raise GraphError("automorphism search requires a simple network")
+    search = canonical_search(underlying_digraph(network, node_colors))
+    return GeneratedPermutationGroup(
+        network.num_nodes, search.generators, max_order=None, base=search.base
+    )
 
 
 def color_preserving_automorphisms(
@@ -67,172 +76,16 @@ def color_preserving_automorphisms(
     node_colors: Optional[NodeColoring] = None,
     limit: int = 1_000_000,
 ) -> List[Permutation]:
-    """All automorphisms of the simple graph preserving ``node_colors``.
+    """All automorphisms of the simple graph preserving ``node_colors``, sorted.
 
-    Port labels are ignored (this is Definition 2.1 — automorphisms of the
-    underlying bi-colored graph).  Backtracking assigns images in an order
-    chosen from the equitable refinement (most-constrained first), pruning
-    with class membership and adjacency consistency against the partial map.
-
-    Raises :class:`GraphError` on non-simple networks or if more than
-    ``limit`` automorphisms exist.
-
-    Memoized per ``(network, coloring, limit)`` — ``classify`` and the
-    Table 1 batteries ask for the same group several times per instance.
+    Raises :class:`GraphError` on non-simple networks, or if more than
+    ``limit`` automorphisms exist (read off the stabilizer chain's order,
+    before anything is enumerated).
     """
-    cached = _cache.memo(
-        network,
-        "automorphisms",
-        (_colors_key(node_colors), limit),
-        lambda: tuple(
-            _color_preserving_automorphisms(network, node_colors, limit)
-        ),
-    )
-    return list(cached)
-
-
-def _color_preserving_automorphisms(
-    network: AnonymousNetwork,
-    node_colors: Optional[NodeColoring],
-    limit: int,
-) -> List[Permutation]:
-    if not network.is_simple:
-        raise GraphError("automorphism search requires a simple network")
-    n = network.num_nodes
-    adjacency = network.adjacency_sets()
-    colors = _normalize_colors(network, node_colors)
-    refined = equitable_refinement(adjacency, colors)
-
-    cell_size: Dict[int, int] = {}
-    for c in refined:
-        cell_size[c] = cell_size.get(c, 0) + 1
-    # BFS order from a most-constrained anchor: every later node has a
-    # placed neighbor, so candidate images come from that neighbor's
-    # image's adjacency instead of a whole refinement cell — the pruning
-    # that makes 20+-node vertex-transitive graphs tractable.
-    anchor = min(range(n), key=lambda x: (cell_size[refined[x]], x))
-    order: List[int] = [anchor]
-    seen = {anchor}
-    head = 0
-    while head < len(order):
-        for y in sorted(adjacency[order[head]]):
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-        head += 1
-    if len(order) != n:  # disconnected (builders forbid it; be safe)
-        order.extend(x for x in range(n) if x not in seen)
-
-    # A placed neighbor with the smallest position, per node (BFS parent).
-    position = {x: i for i, x in enumerate(order)}
-    parent: Dict[int, Optional[int]] = {anchor: None}
-    for x in order[1:]:
-        placed = [w for w in adjacency[x] if position[w] < position[x]]
-        parent[x] = min(placed, key=lambda w: position[w]) if placed else None
-
-    anchor_candidates = [
-        y for y in range(n) if refined[y] == refined[anchor]
-    ]
-
-    results: List[Permutation] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def backtrack(pos: int) -> None:
-        if len(results) >= limit:
-            raise GraphError(f"more than limit={limit} automorphisms")
-        if pos == n:
-            results.append(tuple(image))
-            return
-        x = order[pos]
-        par = parent[x]
-        if par is None:
-            pool = anchor_candidates
-        else:
-            pool = sorted(adjacency[image[par]])
-        placed_neighbors = [w for w in adjacency[x] if image[w] >= 0]
-        placed_non_neighbors = [
-            order[i] for i in range(pos) if order[i] not in adjacency[x]
-        ]
-        for y in pool:
-            if used[y] or refined[y] != refined[x]:
-                continue
-            if any(image[w] not in adjacency[y] for w in placed_neighbors):
-                continue
-            if any(image[w] in adjacency[y] for w in placed_non_neighbors):
-                continue
-            image[x] = y
-            used[y] = True
-            backtrack(pos + 1)
-            image[x] = -1
-            used[y] = False
-
-    backtrack(0)
-    return sorted(results)
-
-
-def find_automorphism_mapping(
-    network: AnonymousNetwork,
-    node_colors: Optional[NodeColoring],
-    source: int,
-    target: int,
-) -> Optional[Permutation]:
-    """Some color-preserving automorphism with ``φ(source) = target``.
-
-    Returns ``None`` if none exists.  Used by the orbit computation to
-    avoid enumerating the full (possibly huge) automorphism group: a single
-    witness per node pair suffices.
-    """
-    if not network.is_simple:
-        raise GraphError("automorphism search requires a simple network")
-    n = network.num_nodes
-    adjacency = network.adjacency_sets()
-    colors = _normalize_colors(network, node_colors)
-    # Individualize source/target consistently, then refine: classes must
-    # align or no such automorphism exists.
-    base_s = list(colors)
-    base_t = list(colors)
-    marker = max(colors) + 1
-    base_s[source] = marker
-    base_t[target] = marker
-    refined_s = equitable_refinement(adjacency, base_s)
-    refined_t = equitable_refinement(adjacency, base_t)
-    if sorted(refined_s) != sorted(refined_t):
-        return None
-
-    order = sorted(range(n), key=lambda x: (refined_s[x], x))
-    candidates: Dict[int, List[int]] = {
-        x: [y for y in range(n) if refined_t[y] == refined_s[x]] for x in range(n)
-    }
-    image = [-1] * n
-    used = [False] * n
-    found: List[Optional[Permutation]] = [None]
-
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            found[0] = tuple(image)
-            return True
-        x = order[pos]
-        placed = [order[i] for i in range(pos)]
-        placed_neighbors = [w for w in placed if w in adjacency[x]]
-        placed_non_neighbors = [w for w in placed if w not in adjacency[x]]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            if any(image[w] not in adjacency[y] for w in placed_neighbors):
-                continue
-            if any(image[w] in adjacency[y] for w in placed_non_neighbors):
-                continue
-            image[x] = y
-            used[y] = True
-            if backtrack(pos + 1):
-                return True
-            image[x] = -1
-            used[y] = False
-        return False
-
-    backtrack(0)
-    return found[0]
+    group = automorphism_group(network, node_colors)
+    if group.order > limit:
+        raise GraphError(f"more than limit={limit} automorphisms")
+    return list(group.elements())
 
 
 def equivalence_classes(
@@ -241,58 +94,31 @@ def equivalence_classes(
 ) -> List[List[int]]:
     """Definition 2.1 classes: orbits of the color-preserving automorphisms.
 
-    Computed without enumerating the automorphism group: candidate pairs
-    come from the equitable refinement (orbits refine it), and one witness
-    automorphism per pair merges their union-find cells.  Memoized per
-    ``(network, coloring)``.
+    The orbits of the generators the canonical search of the colored
+    underlying graph finds; the search is memoized, so after
+    :func:`~repro.core.ordering.compute_class_structure` has keyed the
+    same map this is a memo hit.  A non-simple map has classes only when
+    its simple underlying graph (loops ignored) is rigid, that is, its
+    equitable refinement is discrete: they are singletons.  Otherwise
+    :class:`GraphError` is raised.
     """
-    cached = _cache.memo(
-        network,
-        "equivalence_classes",
-        _colors_key(node_colors),
-        lambda: tuple(
-            tuple(cls) for cls in _equivalence_classes(network, node_colors)
-        ),
-    )
-    return [list(cls) for cls in cached]
+    if not network.is_simple:
+        return _rigid_classes(network, node_colors)
+    search = canonical_search(underlying_digraph(network, node_colors))
+    return orbits_of(search.generators, network.num_nodes)
 
 
-def _equivalence_classes(
-    network: AnonymousNetwork,
-    node_colors: Optional[NodeColoring],
+def _rigid_classes(
+    network: AnonymousNetwork, node_colors: Optional[NodeColoring]
 ) -> List[List[int]]:
     n = network.num_nodes
-    adjacency = network.adjacency_sets()
     colors = _normalize_colors(network, node_colors)
-    refined = equitable_refinement(adjacency, colors)
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    cells: Dict[int, List[int]] = {}
-    for v in range(n):
-        cells.setdefault(refined[v], []).append(v)
-    for members in cells.values():
-        rep = members[0]
-        for v in members[1:]:
-            if find(v) == find(rep):
-                continue
-            witness = find_automorphism_mapping(network, node_colors, rep, v)
-            if witness is not None:
-                # The witness merges entire orbits at once — exploit it.
-                for i in range(n):
-                    ri, rj = find(i), find(witness[i])
-                    if ri != rj:
-                        parent[rj] = ri
-    buckets: Dict[int, List[int]] = {}
-    for v in range(n):
-        buckets.setdefault(find(v), []).append(v)
-    return sorted(buckets.values())
+    simple = Digraph(
+        n, tuple(colors), tuple(frozenset(adj) for adj in network.adjacency_sets())
+    )
+    if len(set(digraph_refinement(simple, colors))) < n:
+        raise GraphError("automorphism search requires a simple network")
+    return [[v] for v in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -398,9 +224,8 @@ def label_classes_all_same_size(
 def is_vertex_transitive(network: AnonymousNetwork) -> bool:
     """Whether the (uncolored) automorphism group acts transitively.
 
-    Uses the witness-based orbit computation, which avoids enumerating the
-    full automorphism group (important on the larger Cayley families, whose
-    groups run to the hundreds of elements).
+    Reads the orbits of the canonical search's generators, so the group
+    is never enumerated.
     """
     return len(equivalence_classes(network)) == 1
 
@@ -409,5 +234,5 @@ def automorphism_group_order(
     network: AnonymousNetwork,
     node_colors: Optional[NodeColoring] = None,
 ) -> int:
-    """Order of the color-preserving automorphism group."""
-    return len(color_preserving_automorphisms(network, node_colors))
+    """Order of the color-preserving automorphism group (from its chain)."""
+    return automorphism_group(network, node_colors).order

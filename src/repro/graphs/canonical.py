@@ -15,6 +15,11 @@ practical *individualization–refinement* canonical form:
    the automorphisms fixing the current prefix map onto an explored sibling
    is skipped — the minimum, and the first ordering reaching it, stay put.
 
+The automorphisms the search finds generate the whole color-preserving
+group, and its first path is a base of that group: this search is the
+repository's only automorphism code (Definition 2.1 orbits, the stabilizer
+chain of :mod:`repro.groups.permgroup` and everything built on it).
+
 The encoding is invariant under digraph isomorphism and distinguishes
 non-isomorphic digraphs, so the lexicographic order on encodings induces the
 required total order ``≺``.  Keys returned by :func:`canonical_key` sort
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import GraphError
 from ..groups.permgroup import orbits_of
@@ -202,7 +207,20 @@ def _make_refiner(g: Digraph):
     return lambda classes: _digraph_refinement_python(g, classes)
 
 
-SearchResult = Tuple[CanonicalKey, Tuple[int, ...]]
+class SearchResult(NamedTuple):
+    """What one canonical search of a digraph finds."""
+
+    #: Total-order key: (node count, canonical colors row, canonical matrix).
+    key: CanonicalKey
+    #: The first minimal leaf ordering: ``order[i]`` is the node at
+    #: canonical position ``i``.
+    order: Tuple[int, ...]
+    #: Automorphisms found on the way; they generate the whole
+    #: color-preserving automorphism group.
+    generators: Tuple[Tuple[int, ...], ...]
+    #: The first leaf's path: individualizing these nodes makes the
+    #: partition discrete, so they form a base of that group.
+    base: Tuple[int, ...]
 
 
 def _search(g: Digraph, refine: Callable[[List[int]], List[int]]) -> SearchResult:
@@ -221,9 +239,19 @@ def _search(g: Digraph, refine: Callable[[List[int]], List[int]]) -> SearchResul
     one after the fact is abandoned.  Neither the minimum encoding nor the
     first ordering reaching it can change, since every skipped leaf has
     an equal-encoding twin earlier in the unpruned search order.
+
+    The automorphisms found generate the whole color-preserving group
+    (McKay, *Practical Graph Isomorphism*, 1981).  Every element ``α``
+    sends the first leaf to a leaf with the first leaf's encoding.  If
+    that leaf was visited it yields ``α`` itself; if it was skipped, it
+    is the image under found automorphisms ``β`` of a visited leaf, which
+    yields ``β⁻¹α``.  The first leaf's path is a base of the group: an
+    automorphism fixing it pointwise fixes the discrete partition it
+    refines to, hence every node.
     """
     n = g.num_nodes
     generators: List[Tuple[int, ...]] = []
+    base: Tuple[int, ...] = ()
     path: List[int] = []  # individualized nodes, root first
     explored: List[List[int]] = []  # per depth: children finished so far
     orbits: List[Tuple[int, List[int]]] = []  # per depth: (#generators, orbit ids)
@@ -259,10 +287,11 @@ def _search(g: Digraph, refine: Callable[[List[int]], List[int]]) -> SearchResul
         return None
 
     def leaf(order: Tuple[int, ...]) -> None:
-        nonlocal first, best, unwind_to
+        nonlocal first, best, unwind_to, base
         enc = _encode_ordering(g, order)
         if best is None:
             first = best = (enc, order)
+            base = tuple(path)
             return
         for ref_enc, ref_order in (first, best):
             if enc == ref_enc:
@@ -311,16 +340,19 @@ def _search(g: Digraph, refine: Callable[[List[int]], List[int]]) -> SearchResul
 
     recurse(_normalize_palette(g.colors))
     assert best is not None
-    return (n, *best[0]), best[1]
+    return SearchResult((n, *best[0]), best[1], tuple(generators), base)
 
 
 def canonical_search(g: Digraph) -> SearchResult:
-    """Canonical key and canonical node order of ``g`` from one search.
+    """Canonical key, canonical node order and automorphism group
+    generators of ``g``, from one search.
 
     Memoized on the (hashable, immutable) digraph under the
     ``canonical_key`` kind: the individualization–refinement search is by
     far the most expensive step of the Lemma 3.1 ordering, and the
-    batteries ask for the same surrounding digraphs repeatedly.
+    batteries ask for the same surrounding digraphs repeatedly — as do
+    the equivalence classes and the automorphism group of a map whose
+    class structure was just computed.
     """
     return _cache.memo_value("canonical_key", g, lambda: _search(g, _make_refiner(g)))
 
@@ -331,7 +363,7 @@ def canonical_encoding(g: Digraph) -> Encoding:
     Implements individualization–refinement; leaves are discrete partitions,
     each giving a candidate encoding, and the minimum is canonical.
     """
-    _, colors_row, bits = canonical_search(g)[0]
+    _, colors_row, bits = canonical_search(g).key
     return colors_row, bits
 
 
@@ -342,7 +374,7 @@ def canonical_key(g: Digraph) -> CanonicalKey:
     isomorphic; keys of non-isomorphic digraphs compare consistently in
     every process, giving the ``≺`` of Lemma 3.1.
     """
-    return canonical_search(g)[0]
+    return canonical_search(g).key
 
 
 def canonical_node_order(g: Digraph) -> List[int]:
@@ -354,7 +386,7 @@ def canonical_node_order(g: Digraph) -> List[int]:
     canonical encoding.  Used to pick canonical representatives
     deterministically and to carry per-class results between numberings.
     """
-    return list(canonical_search(g)[1])
+    return list(canonical_search(g).order)
 
 
 def digraphs_isomorphic(a: Digraph, b: Digraph) -> bool:
@@ -415,8 +447,8 @@ def canonical_labeling(
     result computed on one copy of an instance and stored by canonical
     position can be carried into any isomorphic copy's numbering.
     """
-    key, order = canonical_search(underlying_digraph(network, node_colors))
-    return _form_bytes(key), order
+    search = canonical_search(underlying_digraph(network, node_colors))
+    return _form_bytes(search.key), search.order
 
 
 def canonical_form_bytes(

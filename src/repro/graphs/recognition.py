@@ -34,10 +34,7 @@ from .views import _normalize_colors
 NodeColoring = Sequence[Hashable]
 
 
-def find_translations(
-    network: AnonymousNetwork,
-    automorphism_limit: int = 1_000_000,
-) -> Optional[List[Permutation]]:
+def find_translations(network: AnonymousNetwork) -> Optional[List[Permutation]]:
     """The canonical regular subgroup of ``Aut(G)``, or None if not Cayley.
 
     This is the generic (agent-runnable) path: it enumerates the full
@@ -45,9 +42,7 @@ def find_translations(
     subgroups.  Exponential in the worst case, exactly as the paper warns;
     fine at laptop scale.
     """
-    autos = color_preserving_automorphisms(
-        network, node_colors=None, limit=automorphism_limit
-    )
+    autos = color_preserving_automorphisms(network)
     return canonical_regular_subgroup(autos, network.num_nodes)
 
 

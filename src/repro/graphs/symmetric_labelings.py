@@ -26,17 +26,15 @@ every labeling there has singleton label classes).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..colors import ColorSpace
 from ..errors import GraphError
+from ..groups.permgroup import GeneratedPermutationGroup
 from ..groups.symmetric import Permutation, compose, identity_permutation
-from .automorphisms import (
-    equitable_refinement,
-    find_automorphism_mapping,
-)
+from .automorphisms import automorphism_group
 from .network import AnonymousNetwork
-from .views import _normalize_colors
 
 NodeColoring = Sequence[Sequence]
 
@@ -59,44 +57,60 @@ def find_free_automorphism(
 ) -> Optional[Permutation]:
     """A color-preserving automorphism generating a free cyclic group.
 
-    Search strategy: for each candidate image ``v`` of a base node (within
-    its refinement cell), ask the witness search for an automorphism
-    mapping base → v and test freeness; if the witness is not free, retry
-    exhaustively only on small graphs via full enumeration fallback.
-    Returns ``None`` when no free automorphism exists (exhaustively correct
-    for networks small enough to enumerate; see ``exhaustive`` fallback).
+    Exact: returns ``None`` only when none exists.  A free ``⟨φ⟩ ≠ 1``
+    contains an element of prime order ``p`` (a power of ``φ``), which is
+    fixed-point-free; conversely a fixed-point-free element of prime order
+    generates a free cyclic group, since each of its non-identity powers
+    generates the same group.  Its cycles all have length ``p``, so ``p``
+    divides every orbit size.  So the stabilizer chain of the
+    color-preserving group is searched for such an element, for each prime
+    ``p`` dividing the gcd of the orbit sizes in increasing order.
     """
-    if not network.is_simple:
-        raise GraphError("automorphism search requires a simple network")
-    n = network.num_nodes
-    colors = _normalize_colors(network, node_colors)
-
-    # Fast path: individual witnesses.  A free automorphism moves every
-    # node, so candidates send node 0 to some other node in its cell.
-    adjacency = network.adjacency_sets()
-    refined = equitable_refinement(adjacency, colors)
-    for v in range(1, n):
-        if refined[v] != refined[0]:
-            continue
-        witness = find_automorphism_mapping(network, node_colors, 0, v)
-        if witness is not None and cyclic_group_acts_freely(witness):
-            return witness
-
-    # Exhaustive fallback: the witness for 0 → v is just *one* automorphism
-    # with that property; a free one may exist elsewhere in the group.
-    from .automorphisms import color_preserving_automorphisms
-
-    identity = identity_permutation(n)
-    try:
-        autos = color_preserving_automorphisms(
-            network, node_colors, limit=100_000
-        )
-    except GraphError:
-        return None  # group too large to settle exhaustively
-    for phi in autos:
-        if phi != identity and cyclic_group_acts_freely(phi):
-            return phi
+    group = automorphism_group(network, node_colors)
+    gcd = math.gcd(*(len(orbit) for orbit in group.orbits()))
+    for p in range(2, gcd + 1):
+        if gcd % p == 0 and all(p % q for q in range(2, p)):
+            phi = _fixed_point_free_element(group, p)
+            if phi is not None:
+                return phi
     return None
+
+
+def _fixed_point_free_element(
+    group: GeneratedPermutationGroup, p: int
+) -> Optional[Permutation]:
+    """An element of ``group`` whose cycles all have length ``p``, or ``None``.
+
+    Backtracks over the stabilizer chain's transversals: at depth ``i`` the
+    partial product ``h = u₀ ∘ … ∘ u_{i-1}`` agrees with every completion
+    on the points the stabilizer ``G⁽ⁱ⁾`` fixes.  A partial element is
+    pruned when one of those points maps to itself, or when that known
+    part closes a cycle whose length is not ``p``.
+    """
+    depth = len(group.base)
+    known = [
+        {x for x in range(group.degree) if all(s[x] == x for s in gens)}
+        for gens in group.strong + [[]]
+    ]
+    fresh = [known[0]] + [known[i] - known[i - 1] for i in range(1, depth + 1)]
+
+    def search(level: int, h: Permutation) -> Optional[Permutation]:
+        for x in sorted(fresh[level]):
+            y, steps = h[x], 1
+            while y != x and steps < p and y in known[level]:
+                y, steps = h[y], steps + 1
+            if (y == x) != (steps == p):
+                return None  # a fixed point, or a cycle not of length p
+        if level == depth:
+            return h
+        reps = group.transversals[level]
+        for beta in sorted(reps):
+            found = search(level + 1, tuple(map(h.__getitem__, reps[beta])))
+            if found is not None:
+                return found
+        return None
+
+    return search(0, group.identity())
 
 
 def labeling_from_free_automorphism(

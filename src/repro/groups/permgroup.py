@@ -1,12 +1,15 @@
-"""Permutation groups given by generators — orbits, regularity, subgroup search.
+"""Permutation groups given by generators — orbits, stabilizer chains,
+regularity, subgroup search.
 
 This module provides the group-action machinery behind two parts of the
 reproduction:
 
 * **Equivalence classes (Definition 2.1)** — node classes of a bi-colored
-  graph are the orbits of its color-preserving automorphism group, which the
-  automorphism backtracking in :mod:`repro.graphs.automorphisms` returns as a
-  set of permutations.
+  graph are the orbits of its color-preserving automorphism group, whose
+  generators the canonical search of :mod:`repro.graphs.canonical` finds.
+  :class:`GeneratedPermutationGroup` holds the group they generate as a
+  stabilizer chain, which gives its order, membership and elements
+  without a whole-group closure.
 * **Cayley recognition (Theorem 4.1 / Sabidussi)** — a connected graph ``G``
   is a Cayley graph iff ``Aut(G)`` contains a *regular* subgroup (transitive
   with trivial point stabilizers).  :func:`find_regular_subgroups` performs a
@@ -19,7 +22,8 @@ Permutations use one-line notation: tuples ``p`` with ``p[i]`` the image of
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+import math
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import GroupError
 from .base import FiniteGroup, GroupElement
@@ -27,28 +31,151 @@ from .symmetric import Permutation, compose, identity_permutation, invert, is_pe
 
 
 class GeneratedPermutationGroup(FiniteGroup):
-    """The subgroup of S_n generated by explicit permutations.
+    """The subgroup of S_n generated by explicit permutations, held as a
+    stabilizer chain: a base and strong generating set.
 
-    Elements are enumerated by breadth-first closure at construction time, so
-    keep orders modest (a configurable ``max_order`` guards runaway cases).
+    The chain is built by the deterministic Schreier–Sims algorithm
+    (Seress, *Permutation Group Algorithms*, 2003, §4.2).  Level ``i``
+    holds the base point ``base[i]``, the strong generators ``strong[i]``
+    fixing ``base[:i]`` pointwise (they generate that stabilizer
+    ``G⁽ⁱ⁾``), and ``transversals[i]``: for every point ``β`` of the orbit
+    of ``base[i]`` under ``G⁽ⁱ⁾``, an element ``u`` of ``G⁽ⁱ⁾`` with
+    ``u(base[i]) = β``.  Every element is exactly one product
+    ``u₀ ∘ u₁ ∘ … ∘ u_{k-1}`` of transversal elements, which gives the
+    order and membership (by sifting) without enumerating the group;
+    :meth:`elements` enumerates it, sorted, on first use.
+
+    ``base`` seeds the base with distinct points; more are appended while
+    some generator fixes the whole base.  Construction raises
+    :class:`GroupError` when the order exceeds ``max_order`` (``None``: no
+    bound).
     """
 
     def __init__(
         self,
         degree: int,
         generators: Iterable[Permutation],
-        max_order: int = 1_000_000,
+        max_order: Optional[int] = 1_000_000,
+        base: Sequence[int] = (),
     ):
         self.degree = degree
         gens = [tuple(g) for g in generators]
         for g in gens:
             if not is_permutation(g, degree):
                 raise GroupError(f"{g!r} is not a permutation of degree {degree}")
+        if len(set(base)) != len(base) or not all(0 <= b < degree for b in base):
+            raise GroupError(f"base {list(base)!r} is not distinct points below {degree}")
         self.generators: List[Permutation] = gens
-        self._elements = _closure(degree, gens, max_order)
-        self._element_set: FrozenSet[Permutation] = frozenset(self._elements)
+        self._identity = identity_permutation(degree)
+        self.base: List[int] = []
+        self.strong: List[List[Permutation]] = []
+        self.transversals: List[Dict[int, Permutation]] = []
+        self._inverses: List[Dict[int, Permutation]] = []
+        #: Per level, the (orbit point, generator index) Schreier generators
+        #: already known to lie in the next level's group.
+        self._checked: List[Set[Tuple[int, int]]] = []
+        for point in base:
+            self._add_level(point)
+        moving = [g for g in dict.fromkeys(gens) if g != self._identity]
+        for g in moving:
+            if all(g[b] == b for b in self.base):
+                self._add_level(next(x for x in range(degree) if g[x] != x))
+        for g in moving:
+            self._add_generator(g, 0, next(i for i, b in enumerate(self.base) if g[b] != b))
+        level = len(self.base) - 1
+        while level >= 0:
+            grown = self._check_level(level)
+            level = level - 1 if grown is None else grown
+        if max_order is not None and self.order > max_order:
+            raise GroupError(f"group order {self.order} exceeds max_order={max_order}")
+        self._elements: Optional[Tuple[Permutation, ...]] = None
+
+    # ------------------------------------------------------------------
+    # Schreier–Sims
+    # ------------------------------------------------------------------
+
+    def _add_level(self, point: int) -> None:
+        self.base.append(point)
+        self.strong.append([])
+        self.transversals.append({point: self._identity})
+        self._inverses.append({point: self._identity})
+        self._checked.append(set())
+
+    def _add_generator(self, g: Permutation, first: int, last: int) -> None:
+        """Add ``g`` to the strong generators of levels ``first..last`` and
+        extend their orbits.  Transversal entries already present are
+        kept, so a Schreier generator that sifted before still does."""
+        for level in range(first, last + 1):
+            self.strong[level].append(g)
+            reps, inverses = self.transversals[level], self._inverses[level]
+            frontier, new = list(reps), [g]
+            while frontier:
+                grown: List[int] = []
+                for beta in frontier:
+                    for s in new:
+                        image = s[beta]
+                        if image not in reps:
+                            reps[image] = tuple(map(s.__getitem__, reps[beta]))
+                            inverses[image] = invert(reps[image])
+                            grown.append(image)
+                frontier, new = grown, self.strong[level]
+
+    def _sift(self, g: Permutation, start: int = 0) -> Tuple[Permutation, int]:
+        """Strip ``g`` through levels ``start..``: the residue and the level
+        where it left the orbit (``len(base)`` when it passed them all)."""
+        for level in range(start, len(self.base)):
+            image = g[self.base[level]]
+            inverse = self._inverses[level].get(image)
+            if inverse is None:
+                return g, level
+            if image != self.base[level]:
+                g = tuple(map(inverse.__getitem__, g))
+        return g, len(self.base)
+
+    def _check_level(self, level: int) -> Optional[int]:
+        """Sift the Schreier generators ``u_{s(β)}⁻¹ ∘ s ∘ u_β`` of
+        ``level`` through the levels below.  On the first with a
+        non-identity residue, add the residue there and return the deepest
+        level it joined; ``None`` when every one sifts to the identity."""
+        reps, inverses = self.transversals[level], self._inverses[level]
+        checked = self._checked[level]
+        for beta in list(reps):
+            for index, s in enumerate(self.strong[level]):
+                if (beta, index) in checked:
+                    continue
+                checked.add((beta, index))
+                su = tuple(map(s.__getitem__, reps[beta]))
+                if su == reps[s[beta]]:
+                    continue
+                residue, stop = self._sift(
+                    tuple(map(inverses[s[beta]].__getitem__, su)), level + 1
+                )
+                if residue == self._identity:
+                    continue
+                if stop == len(self.base):
+                    self._add_level(next(x for x in range(self.degree) if residue[x] != x))
+                self._add_generator(residue, level + 1, stop)
+                return stop
+        return None
+
+    # ------------------------------------------------------------------
+    # FiniteGroup
+    # ------------------------------------------------------------------
+
+    @property
+    def order(self) -> int:
+        """The product of the chain's orbit lengths."""
+        return math.prod(len(reps) for reps in self.transversals)
 
     def elements(self) -> Sequence[GroupElement]:
+        """Every element, sorted (one-line tuples)."""
+        if self._elements is None:
+            products = [self._identity]
+            for reps in reversed(self.transversals):
+                products = [
+                    tuple(map(u.__getitem__, p)) for u in reps.values() for p in products
+                ]
+            self._elements = tuple(sorted(products))
         return self._elements
 
     def operate(self, a: GroupElement, b: GroupElement) -> GroupElement:
@@ -58,10 +185,15 @@ class GeneratedPermutationGroup(FiniteGroup):
         return invert(a)
 
     def identity(self) -> GroupElement:
-        return identity_permutation(self.degree)
+        return self._identity
 
     def contains(self, a: GroupElement) -> bool:
-        return a in self._element_set
+        """Membership by sifting: ``a`` is in the group iff it strips to
+        the identity."""
+        if not is_permutation(a, self.degree):
+            return False
+        residue, stop = self._sift(tuple(a))
+        return stop == len(self.base) and residue == self._identity
 
     # ------------------------------------------------------------------
     # Action-specific queries
@@ -69,15 +201,16 @@ class GeneratedPermutationGroup(FiniteGroup):
 
     def orbits(self) -> List[List[int]]:
         """Orbits of the natural action on ``0..degree-1``."""
-        return orbits_of(self._elements, self.degree)
+        return orbits_of(self.generators, self.degree)
 
     def is_transitive(self) -> bool:
         """Whether the action on points is transitive."""
         return len(self.orbits()) == 1
 
     def point_stabilizer_order(self, point: int) -> int:
-        """Size of the stabilizer of ``point``."""
-        return sum(1 for g in self._elements if g[point] == point)
+        """Size of the stabilizer of ``point`` (orbit–stabilizer)."""
+        orbit = next(o for o in self.orbits() if point in o)
+        return self.order // len(orbit)
 
     def is_regular(self) -> bool:
         """Transitive with trivial point stabilizers (⇔ order == degree)."""
@@ -88,28 +221,6 @@ class GeneratedPermutationGroup(FiniteGroup):
             f"GeneratedPermutationGroup(degree={self.degree}, "
             f"order={self.order}, ngens={len(self.generators)})"
         )
-
-
-def _closure(
-    degree: int, generators: Sequence[Permutation], max_order: int
-) -> List[Permutation]:
-    """Breadth-first closure of ``generators`` in S_degree (sorted output)."""
-    identity = identity_permutation(degree)
-    seen: Set[Permutation] = {identity}
-    frontier: List[Permutation] = [identity]
-    step = list(generators) + [invert(g) for g in generators]
-    while frontier:
-        x = frontier.pop()
-        for g in step:
-            y = compose(g, x)
-            if y not in seen:
-                if len(seen) >= max_order:
-                    raise GroupError(
-                        f"group closure exceeded max_order={max_order}"
-                    )
-                seen.add(y)
-                frontier.append(y)
-    return sorted(seen)
 
 
 def orbits_of(perms: Iterable[Permutation], degree: int) -> List[List[int]]:
@@ -139,15 +250,6 @@ def orbits_of(perms: Iterable[Permutation], degree: int) -> List[List[int]]:
     for i in range(degree):
         buckets.setdefault(find(i), []).append(i)
     return sorted(buckets.values())
-
-
-def is_closed_under_composition(perms: Set[Permutation]) -> bool:
-    """Whether a finite set of permutations is closed under composition.
-
-    For finite sets, closure under composition implies the set is a group
-    (every element has finite order, so inverses are powers).
-    """
-    return all(compose(a, b) in perms for a in perms for b in perms)
 
 
 def find_regular_subgroups(

@@ -31,8 +31,10 @@ from typing import Any, Dict, Optional
 from ..errors import InvariantViolation
 from .registry import MetricsRegistry, ObsFinding, get_registry
 
-#: Default bound constant — same envelope as the trace-level audit
-#: (:data:`repro.trace.invariants.THEOREM31_CONSTANT`) and the E7 sweep.
+#: The Theorem 3.1 ``O(r·|E|)`` bound constant — the bound the E7
+#: complexity benchmark asserts across the instance sweep.  The
+#: trace-level audit imports it as
+#: :data:`repro.trace.invariants.THEOREM31_CONSTANT`.
 DEFAULT_CONSTANT = 15.0
 
 MOVES = "moves"

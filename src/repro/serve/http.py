@@ -22,6 +22,12 @@ carries a deadline (``X-Repro-Deadline`` header, seconds; default
 ``deadline``) enforced with ``asyncio.wait_for`` → ``504``; the underlying
 computation still completes and populates the caches for the retry.
 
+Errors are JSON ``{"error": ...}`` bodies: a malformed query is ``400``
+(:class:`~repro.errors.ServeError`), a well-formed one the library refuses
+to compute is ``422`` with the error's class name (any other
+:class:`~repro.errors.ReproError`, such as an element limit), and only an
+unexpected exception is ``500``.
+
 Response bodies are rendered by :func:`~repro.serve.wire.canonical_json`
 and never mention which tier answered; provenance travels in the
 ``X-Repro-Source`` header (``compute`` / ``memory`` / ``sqlite`` /
@@ -36,7 +42,7 @@ import json
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import ServeError
+from ..errors import ReproError, ServeError
 from ..obs import flight
 from ..obs.exporters import to_prometheus
 from ..obs.registry import collect_snapshot
@@ -51,6 +57,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     408: "Request Timeout",
     413: "Payload Too Large",
+    422: "Unprocessable Content",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -442,6 +449,11 @@ class ElectionServer:
             )
         except ServeError as exc:
             return 400, _JSON, canonical_json({"error": str(exc)}), {}
+        except ReproError as exc:
+            # A well-formed query the library refused to compute (e.g. an
+            # element limit): classified by its error class, not a 500.
+            error = f"{type(exc).__name__}: {exc}"
+            return 422, _JSON, canonical_json({"error": error}), {}
         except Exception as exc:  # noqa: BLE001 - the server must not die
             return (
                 500,

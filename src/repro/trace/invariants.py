@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import InvariantViolation
+from ..obs.budget import DEFAULT_CONSTANT as THEOREM31_CONSTANT
 from .events import (
     BLOCK,
     DETECT,
@@ -53,10 +54,6 @@ from .events import (
     TraceEvent,
     TraceHeader,
 )
-
-#: Default constant for the Theorem 3.1 ``O(r·|E|)`` audit — matches the
-#: bound the E7 complexity benchmark asserts across the instance sweep.
-THEOREM31_CONSTANT = 15.0
 
 
 @dataclass

@@ -12,8 +12,8 @@ from repro.groups import (
     left_translations,
     orbits_of,
 )
-from repro.groups.permgroup import is_closed_under_composition
 from repro.groups.symmetric import compose, identity_permutation, invert
+from tests.symmetry_oracle import is_closed_under_composition
 
 
 def dihedral_action(n):

@@ -85,6 +85,43 @@ def test_error_mapping(make_server, method, path, body, status):
     assert b"error" in payload
 
 
+def test_refused_computation_is_422_and_the_server_keeps_answering(
+    make_server, monkeypatch
+):
+    from repro.errors import GraphError
+    from repro.serve import service as service_module
+
+    def refuse(network, placement):
+        raise GraphError("more than limit=1000000 automorphisms")
+
+    monkeypatch.setitem(service_module._PAYLOADS, "classify", refuse)
+    server = make_server()
+    with ServeClient(port=server.port) as client:
+        with pytest.raises(ServeHTTPError) as err:
+            client.classify(C6, [0, 3])
+        assert err.value.status == 422
+        assert str(err.value) == (
+            "HTTP 422: GraphError: more than limit=1000000 automorphisms"
+        )
+        assert client.feasibility(C6, [0, 3])["gcd"] == 2
+    assert sm.REQUESTS.value(endpoint="/v1/classify", status="422") == 1
+
+
+def test_unexpected_exception_is_500(make_server, monkeypatch):
+    from repro.serve import service as service_module
+
+    def crash(network, placement):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(service_module._PAYLOADS, "classify", crash)
+    server = make_server()
+    with ServeClient(port=server.port) as client:
+        with pytest.raises(ServeHTTPError) as err:
+            client.classify(C6, [0, 3])
+    assert err.value.status == 500
+    assert "internal error" in str(err.value)
+
+
 def test_malformed_json_is_400(make_server):
     import http.client
 
