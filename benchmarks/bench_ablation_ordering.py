@@ -22,6 +22,7 @@ from repro.graphs import (
     surrounding_key,
 )
 from repro.graphs.cayley import cube_connected_cycles
+from repro.perf.cache import invalidate
 
 
 def battery():
@@ -58,9 +59,13 @@ def run_ablation():
     rows = []
     for net, bicolor in battery():
         classes = equivalence_classes(net, bicolor)
+        # Both legs start cold: the surrounding memos one leg fills would
+        # otherwise make the other leg's canonical keys free.
+        invalidate()
         t0 = time.perf_counter()
         tiered = order_equivalence_classes(net, classes, bicolor)
         t_tiered = time.perf_counter() - t0
+        invalidate()
         t0 = time.perf_counter()
         baseline = full_canonical_order(net, classes, bicolor)
         t_full = time.perf_counter() - t0

@@ -9,22 +9,23 @@ fingerprint of the sign the agent *asked* to store
 can afterwards detect any surviving corrupted sign — the detection side of
 the fault model, analogous to checksummed storage.
 
-The board additionally keeps a **provenance journal**: for every stored
-sign it records the color of the agent that *performed* the write (the
-``writer=`` the runtime threads through :meth:`Whiteboard.append`).  A sign
-whose claimed color differs from its recorded writer is a *forgery* — a
-Byzantine lie, not a bit flip — and :meth:`audit_findings` reports the two
-evidence kinds separately so the campaign classifier can tell injection
-kinds apart.
+The board also decides **provenance** as it stores each sign: it knows the
+color of the agent that *performed* the write (the ``writer=`` the runtime
+threads through :meth:`Whiteboard.append`), and a sign whose claimed color
+differs from its writer is a *forgery* — a Byzantine lie, not a bit flip.
+Forged writes are journaled with their writer in :attr:`FaultyWhiteboard.forged`;
+:meth:`audit_findings` reports the two evidence kinds separately so the
+campaign classifier can tell injection kinds apart, and the cheat detector
+reads the live forgeries alone (:meth:`FaultyWhiteboard.forgeries`).
 
 Home-base marks (``kind == "homebase"``) are exempt from both faults and
 from the nth-write counting: the paper treats them as part of the *instance*
 ("the home-base of a is marked with a sign of color c(a)"), not as runtime
 messages, and dropping one would change which election problem is being
-solved rather than perturb how it is solved.  They still enter the
-provenance journal: a *forged* home-base mark (an agent planting another
-color's home claim) is precisely the spoofed-ownership lie the detection
-layer exists to catch.
+solved rather than perturb how it is solved.  Their provenance is still
+checked: a *forged* home-base mark (an agent planting another color's
+home claim) is precisely the spoofed-ownership lie the detection layer
+exists to catch.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class FaultyWhiteboard(Whiteboard):
         "_corruptions",
         "_appends",
         "journal",
-        "provenance",
+        "forged",
         "_log",
     )
 
@@ -74,10 +75,11 @@ class FaultyWhiteboard(Whiteboard):
         #: fingerprint of exactly the object that was stored.
         self.journal: List[Tuple[Sign, int]] = []
         #: ``(stored_sign, writer_color)`` pairs for every stored write
-        #: (home-base marks included, dropped writes excluded — nothing
-        #: landed, so nothing can mislead).  ``writer`` is ``None`` for
-        #: direct board pokes that bypass the runtime.
-        self.provenance: List[Tuple[Sign, Optional[Color]]] = []
+        #: whose sign claims a color other than its writer's, in write
+        #: order (home-base marks included, dropped writes excluded —
+        #: nothing landed, so nothing can mislead).  Direct board pokes
+        #: that bypass the runtime have no writer and are never forged.
+        self.forged: List[Tuple[Sign, Color]] = []
         self._log = log
 
     def append(
@@ -85,8 +87,7 @@ class FaultyWhiteboard(Whiteboard):
     ) -> Optional[Sign]:
         if sign.kind == HOMEBASE:
             stored = super().append(sign, writer)
-            if stored is not None:
-                self.provenance.append((stored, writer))
+            self._journal_forgery(stored, writer)
             return stored
         self._appends += 1
         nth = self._appends
@@ -117,8 +118,33 @@ class FaultyWhiteboard(Whiteboard):
                 )
         stored = super().append(sign, writer)
         self.journal.append((stored, requested.fingerprint()))
-        self.provenance.append((stored, writer))
+        self._journal_forgery(stored, writer)
         return stored
+
+    def _journal_forgery(self, stored: Sign, writer: Optional[Color]) -> None:
+        if (
+            writer is not None
+            and stored.color is not None
+            and stored.color != writer
+        ):
+            self.forged.append((stored, writer))
+
+    def forgeries(self) -> List[str]:
+        """One message per live forged sign, in write order.
+
+        Erased forgeries cannot mislead anyone and are skipped.  No CRC is
+        computed: this is the provenance half of :meth:`audit_findings`.
+        """
+        if not self.forged:
+            return []
+        live = {id(s) for s in self._signs}
+        return [
+            f"node {self.node}: {stored.kind} sign claims color "
+            f"{stored.color.name or '?'} but was written by "
+            f"{writer.name or '?'} (forged provenance)"
+            for stored, writer in self.forged
+            if id(stored) in live
+        ]
 
     def audit_findings(self) -> List[Tuple[str, str]]:
         """Typed audit: ``(kind, message)`` per detectable bad sign.
@@ -148,18 +174,7 @@ class FaultyWhiteboard(Whiteboard):
                         f"payload={stored.payload} fails its write-time CRC",
                     )
                 )
-        for stored, writer in self.provenance:
-            if writer is None or id(stored) not in live:
-                continue
-            if stored.color is not None and stored.color != writer:
-                findings.append(
-                    (
-                        FORGED,
-                        f"node {self.node}: {stored.kind} sign claims color "
-                        f"{stored.color.name or '?'} but was written by "
-                        f"{writer.name or '?'} (forged provenance)",
-                    )
-                )
+        findings.extend((FORGED, message) for message in self.forgeries())
         return findings
 
     def audit(self) -> List[str]:

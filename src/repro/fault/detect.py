@@ -6,8 +6,9 @@ performed every write.  :class:`CheatDetector` turns that into a measurable
 detection discipline.  Installed on a simulation, it
 
 * replaces every plain whiteboard with a bare (fault-free)
-  :class:`~repro.fault.boards.FaultyWhiteboard` so all writes are
-  provenance-journaled (boards a fault plan already replaced are kept);
+  :class:`~repro.fault.boards.FaultyWhiteboard` so every write's
+  provenance is checked and forgeries journaled (boards a fault plan
+  already replaced are kept);
 * registers a periodic step-hook that sweeps the boards for evidence and
   emits one DETECT trace event per *new* finding;
 * optionally aborts the run on fresh evidence
@@ -31,6 +32,19 @@ Detection strictness is cumulative — each level includes the previous:
 Sweeps are **passive** (pure board reads, no mutation, no agent
 perturbation), which gives the monotonicity property the campaign measures:
 raising strictness can only add findings, never remove or reorder them.
+They read the boards' raw sign lists, so a sweep is not counted as a board
+read by :func:`repro.obs.instrument_whiteboards`.
+
+Sweeps are **incremental**.  Each board's evidence (its live forgeries, its
+visit numbers, announcement and home-base colors, and its strict
+duplicates) is kept in a :class:`_Evidence` record keyed by the board
+object and its ``version``, and rebuilt only when that key changed.  The
+findings are exactly :meth:`CheatDetector.scan`'s: a scan reads only sign
+lists and provenance, which change only in a stored append or an erase
+that removed something, and both bump ``version`` (a dropped write changes
+neither).  The cross-board checks rerun over all records whenever any
+board changed, since a change on one board can add a finding on another.
+A sweep after a step that changed no board reads no sign at all.
 """
 
 from __future__ import annotations
@@ -77,6 +91,29 @@ class Finding(Tuple[str, int, str]):
         return self[2]
 
 
+class _Evidence:
+    """One board's part of a sweep, as of one ``version`` of that board.
+
+    ``visits`` holds ``(color name, visit number)`` per colored
+    DFS_VISITED sign in board order; ``announces`` and ``homes`` the color
+    names on its leader-announce and home-base signs; ``forged`` and
+    ``duplicates`` its provenance and strict per-board findings.
+    """
+
+    __slots__ = (
+        "board", "version", "forged", "visits", "announces", "homes", "duplicates"
+    )
+
+    def __init__(self, board: Any):
+        self.board = board
+        self.version: int = board.version
+        self.forged: List[Finding] = []
+        self.visits: List[Tuple[str, int]] = []
+        self.announces: Set[str] = set()
+        self.homes: Set[str] = set()
+        self.duplicates: List[Finding] = []
+
+
 class CheatDetector:
     """Periodic cheat-detection audit over a simulation's whiteboards.
 
@@ -109,7 +146,8 @@ class CheatDetector:
         #: Every distinct finding ever surfaced, in discovery order.
         self.findings: List[Finding] = []
         self._reported: Set[Finding] = set()
-        self._sim: Optional[Any] = None
+        #: One evidence record per node, as of the last sweep.
+        self._records: List[Optional[_Evidence]] = []
 
     # ------------------------------------------------------------------
     # Installation
@@ -118,7 +156,7 @@ class CheatDetector:
     def install(self, sim: Any) -> "CheatDetector":
         """Arm the detector on ``sim`` (call after construction, before run).
 
-        Plain boards are swapped for bare provenance-journaling
+        Plain boards are swapped for bare forgery-journaling
         :class:`FaultyWhiteboard` instances (no drops, no corruptions —
         behaviorally identical); boards a fault plan already faulted are
         left in place, their journals serve double duty.
@@ -126,10 +164,9 @@ class CheatDetector:
         for node, board in enumerate(sim.boards):
             if not isinstance(board, FaultyWhiteboard):
                 replacement = FaultyWhiteboard(node)
-                for sign in board.snapshot():
+                for sign in board._signs:
                     replacement.append(sign)
                 sim.boards[node] = replacement
-        self._sim = sim
         sim.step_hooks.append(self)
         return self
 
@@ -252,13 +289,143 @@ class CheatDetector:
                 )
 
     # ------------------------------------------------------------------
+    # Incremental sweeps: the same findings as scan(), from per-board records
+    # ------------------------------------------------------------------
+
+    def _evidence(self, node: int, board: Any) -> _Evidence:
+        """Read one board's evidence (its raw sign list, not a snapshot)."""
+        rec = _Evidence(board)
+        if isinstance(board, FaultyWhiteboard):
+            rec.forged = [
+                Finding(PROVENANCE, board.node, f"forged: {message}")
+                for message in board.forgeries()
+            ]
+        if self.strictness < 2:
+            return rec
+        strict = self.strictness >= 3
+        per_board: Dict[Tuple[str, str, Tuple[int, ...]], int] = {}
+        for sign in board._signs:
+            if sign.color is None:
+                continue
+            kind = sign.kind
+            if kind == DFS_VISITED:
+                if sign.payload:
+                    rec.visits.append(
+                        (sign.color.name or "?", sign.payload[0])
+                    )
+            elif kind == LEADER_ANNOUNCE:
+                rec.announces.add(sign.color.name or "?")
+            elif kind == HOMEBASE:
+                rec.homes.add(sign.color.name or "?")
+            if strict and kind in _STRUCTURAL_KINDS:
+                key = (kind, sign.color.name or "?", sign.payload)
+                per_board[key] = per_board.get(key, 0) + 1
+        for (kind, cname, payload), count in sorted(per_board.items()):
+            if count > 1:
+                rec.duplicates.append(
+                    Finding(
+                        STRICT,
+                        node,
+                        f"strict: node {node} holds {count} identical "
+                        f"{kind} signs of color {cname} payload={payload}",
+                    )
+                )
+        return rec
+
+    def _refresh(self, boards: Sequence[Any]) -> bool:
+        """Rebuild the records of boards changed since the last sweep;
+        ``True`` iff any was."""
+        records = self._records
+        changed = len(records) != len(boards)
+        if changed:
+            records[:] = [None] * len(boards)
+        for node, board in enumerate(boards):
+            rec = records[node]
+            if rec is None or rec.board is not board or rec.version != board.version:
+                records[node] = self._evidence(node, board)
+                changed = True
+        return changed
+
+    def _findings(self, records: Sequence[_Evidence]) -> List[Finding]:
+        """:meth:`scan`'s findings, in its order, from the records."""
+        findings = [f for rec in records for f in rec.forged]
+        if self.strictness < 2:
+            return findings
+        visit_seen: Dict[Tuple[str, int], int] = {}
+        announce_colors: Dict[str, int] = {}
+        home_nodes: Dict[str, List[int]] = {}
+        for node, rec in enumerate(records):
+            for key in rec.visits:
+                first = visit_seen.setdefault(key, node)
+                if first != node:
+                    findings.append(
+                        Finding(
+                            CONSISTENCY,
+                            node,
+                            f"consistency: visit number {key[1]} of color "
+                            f"{key[0]} appears on nodes {first} and {node}",
+                        )
+                    )
+            for cname in rec.announces:
+                announce_colors.setdefault(cname, node)
+            for cname in rec.homes:
+                home_nodes.setdefault(cname, []).append(node)
+        if len(announce_colors) > 1:
+            names = sorted(announce_colors)
+            findings.append(
+                Finding(
+                    CONSISTENCY,
+                    announce_colors[names[-1]],
+                    f"consistency: {len(names)} distinct leader "
+                    f"announcements ({', '.join(names)})",
+                )
+            )
+        for cname, nodes in sorted(home_nodes.items()):
+            if len(nodes) > 1:
+                findings.append(
+                    Finding(
+                        CONSISTENCY,
+                        nodes[-1],
+                        f"consistency: color {cname} claims home-bases on "
+                        f"nodes {nodes}",
+                    )
+                )
+        if self.strictness < 3:
+            return findings
+        numbers: Dict[str, Set[int]] = {}
+        for rec in records:
+            findings.extend(rec.duplicates)
+            for cname, number in rec.visits:
+                numbers.setdefault(cname, set()).add(number)
+        for cname, nums in sorted(numbers.items()):
+            expected = set(range(len(nums)))
+            if nums != expected:
+                missing = sorted(expected - nums)[:3]
+                findings.append(
+                    Finding(
+                        STRICT,
+                        -1,
+                        f"strict: color {cname} visit numbers are not "
+                        f"contiguous from 0 (has {len(nums)} numbers, "
+                        f"missing {missing})",
+                    )
+                )
+        return findings
+
+    # ------------------------------------------------------------------
     # The step hook
     # ------------------------------------------------------------------
 
     def sweep(self, sim: Any, steps: int) -> List[Finding]:
-        """One detection sweep: report, trace and count *new* findings."""
+        """One detection sweep: report, trace and count *new* findings.
+
+        Exactly the fresh part of :meth:`scan`, in its order; a sweep after
+        a step that changed no board returns ``[]`` without reading a sign.
+        """
+        if not self._refresh(sim.boards):
+            return []
         fresh: List[Finding] = []
-        for finding in self.scan(sim.boards):
+        for finding in self._findings(self._records):
             if finding in self._reported:
                 continue
             self._reported.add(finding)
