@@ -13,8 +13,8 @@ digests.  ``incremental_over_full`` is the best incremental sweep time
 over the best full-scan sweep time; it is gated by the ``python -m
 repro.obs regress`` sentinel against
 ``benchmarks/baselines/BENCH_detect.json``.  The cases/s of each leg are
-recorded as strings: the sentinel reads every numeric entry as
-lower-is-better, and absolute rates differ between machines.
+recorded as strings, out of the sentinel's reach: absolute rates differ
+between machines.
 """
 
 import time

@@ -161,12 +161,13 @@ class AnonymousNetwork:
         """Follow the edge-end labeled ``port`` at ``x``.
 
         Returns ``(y, entry_port)``: the node reached and the label of the
-        edge-end through which it is entered.
+        edge-end through which it is entered.  A label ``x`` does not carry
+        (unhashable ones included) raises :class:`~repro.errors.GraphError`.
         """
         self._check_node(x)
         try:
             return self._ports[x][port]
-        except KeyError:
+        except (KeyError, TypeError):
             raise GraphError(f"node {x} has no port labeled {port!r}") from None
 
     def neighbors(self, x: int) -> List[int]:

@@ -12,7 +12,10 @@ timing band, ``--time-tolerance 1.2``):
 * **extra-info ratios** — numeric ``extra_info`` entries (overhead
   ratios, speedup factors) compared by ratio against
   ``--info-tolerance``.  These are *machine-independent* — a ratio of
-  two timings taken on the same box — so the band is tight;
+  two timings taken on the same box — so the band is tight.  Most are
+  lower-is-better (fresh/baseline must stay below the band); a key
+  ending in ``_per_s`` or ``speedup`` names a rate or a speedup, which is
+  higher-is-better (baseline/fresh must stay below the band);
 * **absolute limits** — ``--limit key=value`` caps an ``extra_info``
   entry outright (e.g. ``--limit disabled_overhead_ratio=1.05`` encodes
   the <5% disabled-path contract independent of any baseline);
@@ -88,6 +91,16 @@ def _index(doc: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
     return out
 
 
+#: ``extra_info`` key suffixes that name a rate or a speedup: for these a
+#: larger fresh value is an improvement, not a regression.
+HIGHER_IS_BETTER_SUFFIXES = ("_per_s", "speedup")
+
+
+def higher_is_better(key: str) -> bool:
+    """Whether a larger ``extra_info[key]`` is better (rates, speedups)."""
+    return key.endswith(HIGHER_IS_BETTER_SUFFIXES)
+
+
 def _numeric_extra_info(bench: Mapping[str, Any]) -> Dict[str, float]:
     info = bench.get("extra_info") or {}
     return {
@@ -107,8 +120,10 @@ def compare_benchmarks(
     """All sentinel findings (empty = the gate passes).
 
     ``time_tolerance`` / ``info_tolerance`` are *ratios* (fresh/baseline
-    must stay **below** them); ``limits`` maps an ``extra_info`` key to an
-    absolute ceiling applied to every fresh benchmark carrying that key.
+    must stay **below** them, or baseline/fresh for a
+    :func:`higher_is_better` key); ``limits`` maps an ``extra_info`` key
+    to an absolute ceiling applied to every fresh benchmark carrying that
+    key.
     """
     findings: List[RegressFinding] = []
     base_by_name = _index(baseline_doc)
@@ -153,9 +168,15 @@ def compare_benchmarks(
         base_info = _numeric_extra_info(base)
         fresh_info = _numeric_extra_info(fresh)
         for key in sorted(set(base_info) & set(fresh_info)):
-            if base_info[key] <= 0:
+            base_value, fresh_value = base_info[key], fresh_info[key]
+            if base_value <= 0:
                 continue
-            ratio = fresh_info[key] / base_info[key]
+            if not higher_is_better(key):
+                ratio = fresh_value / base_value
+            elif fresh_value > 0:
+                ratio = base_value / fresh_value
+            else:
+                ratio = float("inf")
             if ratio > info_tolerance:
                 findings.append(
                     RegressFinding(

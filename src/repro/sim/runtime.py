@@ -13,8 +13,11 @@ Executes a set of :class:`~repro.sim.agent.Agent` protocols on an
   (default: all).  A sleeping agent wakes when another agent *arrives at*
   its home-base (paper: a traversing agent "wakes up this agent").
 * **No node identities** — agents receive only :class:`NodeView` values;
-  the port tuple is presented in a per-(agent, node) shuffled order so that
-  construction order cannot act as a covert shared total order.
+  the port tuple is presented in a per-(agent, node) shuffled order
+  (:class:`PortOrder`, shared with the Figure 1 engine) so that
+  construction order cannot act as a covert shared total order.  The
+  shuffle is computed once per (agent, node) per run and re-checked
+  against the node's current ports, which edge churn may change.
 * **Deadlock & budget** — a run where no agent can ever progress again
   raises :class:`~repro.errors.DeadlockError` (or returns a result flagged
   ``deadlocked=True`` when ``deadlock_ok`` is set, for impossibility-side
@@ -53,6 +56,7 @@ from ..obs.registry import MetricsRegistry, get_registry
 from ..colors import Color
 from ..errors import (
     DeadlockError,
+    GraphError,
     PlacementError,
     ProtocolError,
     SimulationError,
@@ -133,6 +137,64 @@ class SimulationResult:
     @property
     def total_accesses(self) -> int:
         return sum(self.accesses)
+
+
+class PortOrder:
+    """The order in which each agent is shown a node's ports.
+
+    Port labels are distinct but incomparable (paper Section 1.2), so the
+    order the network was built in must not reach agents as a shared total
+    order: agent ``a`` at node ``v`` sees ``v``'s ports shuffled by
+    ``random.Random(f"{seed}:{a}:{v}")``.  ``random.shuffle``'s swaps depend
+    only on the generator's state and the list's length, so the shuffled
+    tuple is a function of that seed string and the node's port tuple.  It
+    is therefore computed once per (agent, node) and served again while the
+    node's ports are what they were.  Every lookup re-checks the memo
+    against the node's current port tuple, because
+    :class:`~repro.fault.byzantine.ChurnableNetwork` adds and removes ports
+    in place; a changed tuple is shuffled afresh.
+
+    Both engines, :class:`Simulation` and
+    :class:`~repro.sim.transform.MessagePassingSimulation`, build one per run.
+    """
+
+    __slots__ = ("network", "seed", "_memo")
+
+    def __init__(self, network: AnonymousNetwork, seed: int):
+        self.network = network
+        self.seed = seed
+        self._memo: Dict[
+            Tuple[int, int], Tuple[Tuple[PortLabel, ...], Tuple[PortLabel, ...]]
+        ] = {}
+
+    def of(self, agent_idx: int, node: int) -> Tuple[PortLabel, ...]:
+        """Agent ``agent_idx``'s order of ``node``'s current ports."""
+        ports = self.network.ports(node)
+        key = (agent_idx, node)
+        hit = self._memo.get(key)
+        if hit is not None and hit[0] == ports:
+            return hit[1]
+        order = list(ports)
+        random.Random(f"{self.seed}:{agent_idx}:{node}").shuffle(order)
+        shuffled = tuple(order)
+        self._memo[key] = (ports, shuffled)
+        return shuffled
+
+
+def follow_port(
+    network: AnonymousNetwork, node: int, agent_idx: int, port: PortLabel
+) -> Tuple[int, PortLabel]:
+    """Resolve agent ``agent_idx``'s Move through ``port`` at ``node``.
+
+    One port-map lookup: a port the node does not have (never had, or lost
+    to churn after the agent saw it) is the agent's protocol error.
+    """
+    try:
+        return network.traverse(node, port)
+    except GraphError:
+        raise ProtocolError(
+            f"agent {agent_idx} used missing port {port!r}"
+        ) from None
 
 
 class Simulation:
@@ -347,18 +409,13 @@ class Simulation:
     # Views
     # ------------------------------------------------------------------
 
-    def _port_order(self, agent_idx: int, node: int) -> Tuple[PortLabel, ...]:
-        ports = list(self.network.ports(node))
-        rng = random.Random(f"{self._port_seed}:{agent_idx}:{node}")
-        rng.shuffle(ports)
-        return tuple(ports)
-
     def _view(
         self, agent_idx: int, node: int, entry_port: Optional[PortLabel] = None
     ) -> NodeView:
+        ports = self._port_order.of(agent_idx, node)
         return NodeView(
-            degree=self.network.degree(node),
-            ports=self._port_order(agent_idx, node),
+            degree=len(ports),
+            ports=ports,
             signs=self.boards[node].snapshot(),
             entry_port=entry_port,
         )
@@ -367,16 +424,35 @@ class Simulation:
     # Trace emission
     # ------------------------------------------------------------------
 
-    def _emit(self, kind: str, idx: int, node: int, **fields: Any) -> None:
+    def _emit(
+        self,
+        kind: str,
+        idx: int,
+        node: int,
+        port: Any = None,
+        dest: Optional[int] = None,
+        entry: Any = None,
+        sign: Optional[str] = None,
+        payload: Optional[Tuple[int, ...]] = None,
+        result: Optional[int] = None,
+        detail: str = "",
+    ) -> None:
         """Emit one trace event (callers guard on ``self._sink``)."""
+        # Positional, in TraceEvent's field order: this runs on every step.
         self._sink.emit(
             self._tev.TraceEvent(
-                step=self._step,
-                kind=kind,
-                agent=idx,
-                node=node,
-                color=self.records[idx].agent.color.name,
-                **fields,
+                self._step,
+                kind,
+                idx,
+                node,
+                self._color_names[idx],
+                port,
+                dest,
+                entry,
+                sign,
+                payload,
+                result,
+                detail,
             )
         )
 
@@ -480,12 +556,8 @@ class Simulation:
         board = self.boards[rec.node]
         color = rec.agent.color
         if isinstance(action, Move):
-            if action.port not in self.network.ports(rec.node):
-                raise ProtocolError(
-                    f"agent {idx} used missing port {action.port!r}"
-                )
             origin = rec.node
-            new_node, entry = self.network.traverse(rec.node, action.port)
+            new_node, entry = follow_port(self.network, origin, idx, action.port)
             rec.node = new_node
             rec.moves += 1
             if self._metrics is not None:
@@ -630,6 +702,12 @@ class Simulation:
         if self.watchdog is not None:
             self.watchdog.reset()
             self._restart_pending.clear()
+        # Per-run state, built after fault installation (which may swap in
+        # a churnable network and wrap agents, each wrapper keeping its
+        # agent's color): the port-order memo and the color name each of
+        # this run's trace events carries.
+        self._port_order = PortOrder(self.network, self._port_seed)
+        self._color_names = [rec.agent.color.name for rec in self.records]
         if self._sink is not None:
             self._emit_header()
         # Mark every home-base with a sign of its agent's color (paper

@@ -50,7 +50,7 @@ from .actions import (
     Write,
 )
 from .agent import Agent
-from .runtime import SimulationResult
+from .runtime import PortOrder, SimulationResult, follow_port
 from .signs import HOMEBASE, Sign
 from .whiteboard import Whiteboard
 
@@ -100,7 +100,7 @@ class MessagePassingSimulation:
         self.processors = [
             _Processor(node=v, board=Whiteboard()) for v in network.nodes()
         ]
-        self._port_seed = port_shuffle_seed
+        self._port_order = PortOrder(network, port_shuffle_seed)
         self.moves = [0] * len(placements)  # message sends per agent
         self.accesses = [0] * len(placements)
         self.results: List[Any] = [None] * len(placements)
@@ -121,12 +121,10 @@ class MessagePassingSimulation:
     def _view(
         self, agent_idx: int, node: int, entry_port: Optional[PortLabel] = None
     ) -> NodeView:
-        ports = list(self.network.ports(node))
-        rng = random.Random(f"{self._port_seed}:{agent_idx}:{node}")
-        rng.shuffle(ports)
+        ports = self._port_order.of(agent_idx, node)
         return NodeView(
-            degree=self.network.degree(node),
-            ports=tuple(ports),
+            degree=len(ports),
+            ports=ports,
             signs=self.processors[node].board.snapshot(),
             entry_port=entry_port,
         )
@@ -175,11 +173,7 @@ class MessagePassingSimulation:
                 self.done.add(idx)
                 return
             if isinstance(action, Move):
-                if action.port not in self.network.ports(node):
-                    raise ProtocolError(
-                        f"agent {idx} used missing port {action.port!r}"
-                    )
-                dest, entry = self.network.traverse(node, action.port)
+                dest, entry = follow_port(self.network, node, idx, action.port)
                 self.moves[idx] += 1
                 msg.pending = None
                 msg.entry_port = entry

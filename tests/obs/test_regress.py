@@ -78,6 +78,41 @@ class TestCompareBenchmarks:
         fresh = _doc(extra_info={"ok": False})
         assert compare_benchmarks(base, fresh) == []
 
+    @pytest.mark.parametrize(
+        "key", ["warm_req_per_s", "cold_req_per_s", "speedup", "restart_speedup"]
+    )
+    def test_improved_rate_or_speedup_passes(self, key):
+        base = _doc(extra_info={key: 10.0})
+        fresh = _doc(extra_info={key: 20.0})
+        assert compare_benchmarks(base, fresh, info_tolerance=1.5) == []
+
+    @pytest.mark.parametrize(
+        "key", ["warm_req_per_s", "cold_req_per_s", "speedup", "restart_speedup"]
+    )
+    def test_halved_rate_or_speedup_fails(self, key):
+        base = _doc(extra_info={key: 10.0})
+        fresh = _doc(extra_info={key: 5.0})
+        (finding,) = compare_benchmarks(base, fresh, info_tolerance=1.5)
+        assert finding.kind == "extra_info"
+        assert finding.metric == f"extra_info.{key}"
+        assert (finding.baseline, finding.fresh) == (10.0, 5.0)
+        assert "2.00x worse than baseline" in finding.detail
+
+    def test_rate_dropped_to_zero_fails(self):
+        base = _doc(extra_info={"cases_per_s": 300.0})
+        fresh = _doc(extra_info={"cases_per_s": 0.0})
+        (finding,) = compare_benchmarks(base, fresh)
+        assert finding.metric == "extra_info.cases_per_s"
+
+    def test_lower_is_better_ratios_unchanged(self):
+        base = _doc(extra_info={"parallel_over_serial": 1.0})
+        halved = _doc(extra_info={"parallel_over_serial": 0.5})
+        doubled = _doc(extra_info={"parallel_over_serial": 2.0})
+        assert compare_benchmarks(base, halved, info_tolerance=1.5) == []
+        (finding,) = compare_benchmarks(base, doubled, info_tolerance=1.5)
+        assert finding.metric == "extra_info.parallel_over_serial"
+        assert "2.00x worse than baseline" in finding.detail
+
 
 class TestLoading:
     def test_load_rejects_non_benchmark_json(self, tmp_path):

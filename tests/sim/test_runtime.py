@@ -9,6 +9,7 @@ from repro.errors import (
     ProtocolError,
     StepBudgetExceeded,
 )
+from repro.fault import ChurnableNetwork
 from repro.graphs import cycle_graph, path_graph
 from repro.sim import (
     Agent,
@@ -22,6 +23,7 @@ from repro.sim import (
     Write,
 )
 from repro.sim.signs import HOMEBASE
+from repro.sim.transform import MessagePassingSimulation
 
 
 class NullAgent(Agent):
@@ -161,11 +163,48 @@ class TestModelEnforcement:
 
     def test_invalid_port_rejected(self):
         class BadMover(Agent):
-            def protocol(self, start):
-                yield Move("no-such-port")
+            def __init__(self, color, port, **kw):
+                super().__init__(color, **kw)
+                self.port = port
 
-        with pytest.raises(ProtocolError):
-            Simulation(path_graph(2), [(BadMover(make()), 0)]).run()
+            def protocol(self, start):
+                yield Move(self.port)
+
+        # A label the node never had (an unhashable one too), in both
+        # engines, with the same message.
+        for port in ("no-such-port", ["no-such-port"]):
+            for engine in (Simulation, MessagePassingSimulation):
+                sim = engine(path_graph(2), [(BadMover(make(), port), 0)])
+                with pytest.raises(ProtocolError) as err:
+                    sim.run()
+                assert str(err.value) == f"agent 0 used missing port {port!r}"
+
+        # A port the agent saw, which churn removed before its Move.
+        class StaleMover(Agent):
+            def protocol(self, start):
+                self.port = start.ports[0]
+                yield Read()
+                yield Move(self.port)
+
+        net = ChurnableNetwork.from_network(cycle_graph(4))
+        mover = StaleMover(make())
+        sim = Simulation(net, [(mover, 0)])
+
+        def drop_seen_edge(sim, steps):
+            if steps == 1:
+                (record,) = [
+                    rec
+                    for rec in net.edges()
+                    if (rec[0], rec[1]) == (0, mover.port)
+                    or (rec[2], rec[3]) == (0, mover.port)
+                ]
+                net.remove_edge(record)
+
+        sim.step_hooks.append(drop_seen_edge)
+        with pytest.raises(ProtocolError) as err:
+            sim.run()
+        assert str(err.value) == f"agent 0 used missing port {mover.port!r}"
+        assert mover.port not in net.ports(0)
 
     def test_port_order_is_shuffled_per_agent(self):
         # Two agents at the same node (sequentially) see their own orders;
@@ -192,6 +231,26 @@ class TestModelEnforcement:
         ).run()
         assert sorted(res.results[0]) == sorted(res2.results[0])
         assert res.results[0] != res2.results[0]
+
+
+class TestTraceColors:
+    def test_events_carry_each_agents_color_name(self):
+        # A fault-wrapped agent keeps its color, and an unnamed color is
+        # recorded as no name at all (not an empty one).
+        from repro.colors import Color
+        from repro.fault import CrashAtStep, FaultPlan
+        from repro.trace.sinks import MemorySink
+
+        named, anonymous = make(), Color("anonymous")
+        sink = MemorySink()
+        Simulation(
+            cycle_graph(5),
+            [(WalkerAgent(named, 3), 0), (WalkerAgent(anonymous, 2), 2)],
+            trace=sink,
+            fault=FaultPlan((CrashAtStep(agent=0, after_actions=10),)),
+        ).run()
+        colors = {(e.agent, e.color) for e in sink.events}
+        assert colors == {(0, named.name), (1, None)}
 
 
 class TestWaitingAndWakeup:

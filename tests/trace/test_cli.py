@@ -1,5 +1,6 @@
 """End-to-end tests of the ``python -m repro.trace`` command line."""
 
+import hashlib
 import json
 
 import pytest
@@ -89,3 +90,30 @@ class TestCli:
                     "--out", str(tmp_path / "x.jsonl"),
                 ]
             )
+
+
+#: sha256 of the JSONL that ``python -m repro.trace record --graph hypercube
+#: --graph-args 3 --homes 0 3 5 --protocol elect --seed 11`` writes.  Any
+#: change to an event, a view the agents act on, or the header moves it.
+GOLDEN_Q3_SEED11_SHA256 = (
+    "714b801658e67770a066c487f7fd497ab9dee421124680efe858645d32e94f5d"
+)
+
+
+class TestGoldenTrace:
+    def test_hypercube_elect_recording_is_byte_stable(self, tmp_path, capsys):
+        path = tmp_path / "elect.jsonl"
+        code = main(
+            [
+                "record",
+                "--graph", "hypercube",
+                "--graph-args", "3",
+                "--homes", "0", "3", "5",
+                "--protocol", "elect",
+                "--seed", "11",
+                "--out", str(path),
+            ]
+        )
+        assert code == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_Q3_SEED11_SHA256
