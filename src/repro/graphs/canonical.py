@@ -223,11 +223,18 @@ class SearchResult(NamedTuple):
     base: Tuple[int, ...]
 
 
-def _search(g: Digraph, refine: Callable[[List[int]], List[int]]) -> SearchResult:
+def _search(
+    g: Digraph,
+    refine: Callable[[List[int]], List[int]],
+    root: Optional[Sequence[int]] = None,
+) -> SearchResult:
     """One individualization–refinement search, pruned by automorphisms.
 
     ``refine`` is the equitable refinement of ``g`` (from
-    :func:`_make_refiner`; either backend gives the same result).
+    :func:`_make_refiner`; either backend gives the same result).  The
+    search starts from ``refine(palette)``; a caller that already holds
+    that partition passes it as ``root`` (the same class ids, not just the
+    same cells: the search picks cells and orders leaves by them).
 
     Returns the canonical key and the *first* leaf ordering (in search
     order) whose encoding is minimal.  Two leaves with equal encodings
@@ -305,8 +312,8 @@ def _search(g: Digraph, refine: Callable[[List[int]], List[int]]) -> SearchResul
             best = (enc, order)
 
     def recurse(classes: List[int]) -> None:
+        """Search below the equitable partition ``classes``."""
         nonlocal unwind_to
-        classes = refine(classes)
         cells: Dict[int, List[int]] = {}
         for node, cid in enumerate(classes):
             cells.setdefault(cid, []).append(node)
@@ -328,7 +335,7 @@ def _search(g: Digraph, refine: Callable[[List[int]], List[int]]) -> SearchResul
             child = list(classes)
             child[node] = n  # a fresh class id, strictly above existing ones
             path.append(node)
-            recurse(child)
+            recurse(refine(child))
             path.pop()
             if unwind_to is not None:
                 if unwind_to < depth:
@@ -338,12 +345,14 @@ def _search(g: Digraph, refine: Callable[[List[int]], List[int]]) -> SearchResul
         explored.pop()
         orbits.pop()
 
-    recurse(_normalize_palette(g.colors))
+    recurse(refine(_normalize_palette(g.colors)) if root is None else list(root))
     assert best is not None
     return SearchResult((n, *best[0]), best[1], tuple(generators), base)
 
 
-def canonical_search(g: Digraph) -> SearchResult:
+def canonical_search(
+    g: Digraph, root: Optional[Sequence[int]] = None
+) -> SearchResult:
     """Canonical key, canonical node order and automorphism group
     generators of ``g``, from one search.
 
@@ -352,9 +361,14 @@ def canonical_search(g: Digraph) -> SearchResult:
     far the most expensive step of the Lemma 3.1 ordering, and the
     batteries ask for the same surrounding digraphs repeatedly — as do
     the equivalence classes and the automorphism group of a map whose
-    class structure was just computed.
+    class structure was just computed.  ``root``, if given, must be
+    ``digraph_refinement(g, palette)`` of ``g``'s own int palette: the
+    search then starts from it instead of refining the palette again, and
+    returns what it would have returned without it.
     """
-    return _cache.memo_value("canonical_key", g, lambda: _search(g, _make_refiner(g)))
+    return _cache.memo_value(
+        "canonical_key", g, lambda: _search(g, _make_refiner(g), root)
+    )
 
 
 def canonical_encoding(g: Digraph) -> Encoding:

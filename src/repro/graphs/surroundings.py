@@ -17,12 +17,24 @@ of in-degree 0.  Lemma 3.1's pivotal facts, both verified by the test suite:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from ..perf import cache as _cache
-from ..perf.kernel import surrounding_arcs_numpy, use_digraph_kernel
-from .canonical import CanonicalKey, Digraph, canonical_key, digraph_refinement
+from ..perf.kernel import (
+    refine_surroundings,
+    surrounding_arcs_numpy,
+    use_digraph_kernel,
+)
+from .canonical import (
+    CanonicalKey,
+    Digraph,
+    _encode_ordering,
+    canonical_key,
+    canonical_search,
+    digraph_refinement,
+)
 from .network import AnonymousNetwork
 from .views import _colors_key, _normalize_colors
 
@@ -43,7 +55,8 @@ def surrounding(
     returned :class:`Digraph` is immutable so sharing is safe.  The arc
     list comes from the flat-array BFS or the per-edge Python loop by the
     digraph size rule (:func:`repro.perf.kernel.use_digraph_kernel`); both
-    build the same digraph.
+    build the same digraph, and both reject a ``u`` outside ``0..n-1``
+    with the same :class:`GraphError`.
     """
     return _cache.memo(
         network,
@@ -53,14 +66,22 @@ def surrounding(
     )
 
 
+def _palette(
+    network: AnonymousNetwork, node_colors: Optional[NodeColoring]
+) -> List[int]:
+    """The int palette every surrounding of ``network`` carries."""
+    if not network.is_simple:
+        raise GraphError("surroundings are defined for simple networks")
+    return _normalize_colors(network, node_colors)
+
+
 def _surrounding(
     network: AnonymousNetwork,
     u: int,
     node_colors: Optional[NodeColoring],
 ) -> Digraph:
-    if not network.is_simple:
-        raise GraphError("surroundings are defined for simple networks")
-    colors = _normalize_colors(network, node_colors)
+    colors = _palette(network, node_colors)
+    network._check_node(u)
     if use_digraph_kernel(network.num_nodes):
         arcs = surrounding_arcs_numpy(network, u)
     else:
@@ -126,9 +147,68 @@ def _surrounding_profile(
     node_colors: Optional[NodeColoring],
 ) -> Tuple:
     g = surrounding(network, u, node_colors)
-    palette = _normalize_colors(network, node_colors)
-    refined = digraph_refinement(g, palette)
-    return (g.num_nodes, tuple(sorted(refined)))
+    return _profile(digraph_refinement(g, _normalize_colors(network, node_colors)))
+
+
+def _profile(refined: Sequence[int]) -> Tuple:
+    """The profile of a surrounding from its refined class ids."""
+    return (len(refined), tuple(sorted(refined)))
+
+
+class _RefinedSurroundings:
+    """The surroundings of some sources, each refined exactly once.
+
+    ``ids[i]`` is ``digraph_refinement`` of ``S(sources[i])`` from the
+    palette: the Python reference per surrounding below the kernel
+    crossover, one :func:`~repro.perf.kernel.refine_surroundings` batch
+    from it on (the same class ids).  Both tiers of the class order read
+    it: :meth:`profile` is :func:`surrounding_profile` and :meth:`key` is
+    :func:`surrounding_key`, without refining the surrounding again.
+    """
+
+    def __init__(
+        self,
+        network: AnonymousNetwork,
+        sources: Sequence[int],
+        node_colors: Optional[NodeColoring],
+        palette: List[int],
+    ):
+        self.network = network
+        self.sources = sources
+        self.node_colors = node_colors
+        self.palette = palette
+        self.batch = None
+        self.graphs: List[Optional[Digraph]] = [None] * len(sources)
+        if use_digraph_kernel(network.num_nodes):
+            self.batch = refine_surroundings(network, sources, palette)
+            self.ids: List[List[int]] = self.batch.ids.tolist()
+        else:
+            self.graphs = [surrounding(network, u, node_colors) for u in sources]
+            self.ids = [digraph_refinement(g, palette) for g in self.graphs]
+
+    def profile(self, i: int) -> Tuple:
+        return _profile(self.ids[i])
+
+    def key(self, i: int) -> CanonicalKey:
+        """The canonical key of the ``i``-th surrounding.
+
+        A discrete refinement is the canonical search's only leaf, so its
+        order by id gives the key directly — from the batch's arcs above
+        the crossover, with no :class:`Digraph` built.  Otherwise the
+        search starts from the refined partition.
+        """
+        row = self.ids[i]
+        n = len(row)
+        g = self.graphs[i]
+        if max(row) < n - 1:
+            if g is None:
+                g = surrounding(self.network, self.sources[i], self.node_colors)
+            return canonical_search(g, root=row).key
+        order = sorted(range(n), key=row.__getitem__)
+        if self.batch is None:
+            return (n, *_encode_ordering(g, order))
+        colors_row = tuple(self.palette[x] for x in order)
+        return (n, colors_row, self.batch.bits(i))
 
 
 def order_equivalence_classes(
@@ -145,29 +225,38 @@ def order_equivalence_classes(
     contradict Lemma 3.1 and raises :class:`GraphError`.
 
     Two-tier comparison for speed: classes are first separated by the cheap
-    refinement fingerprint of their surroundings; the expensive canonical
-    form is computed only among fingerprint ties.  The resulting order is
-    deterministic and isomorphism-invariant either way.
+    refinement fingerprint of their surroundings (:func:`surrounding_profile`);
+    the canonical key (:func:`surrounding_key`) is computed only among
+    fingerprint ties.  The resulting order is deterministic and
+    isomorphism-invariant either way.  Each representative's surrounding
+    is refined once, and that refinement serves both tiers
+    (:class:`_RefinedSurroundings`).
 
     Returns a new list of classes (each sorted internally) in ``≺`` order.
     """
-    reps: List[Tuple[Tuple, List[int]]] = []
+    reps: List[List[int]] = []
+    palette: Optional[List[int]] = None
     for cls in classes:
         members = sorted(cls)
         if not members:
             raise GraphError("empty equivalence class")
-        profile = surrounding_profile(network, members[0], node_colors)
-        reps.append((profile, members))
+        if palette is None:
+            palette = _palette(network, node_colors)
+        network._check_node(members[0])
+        reps.append(members)
+    if palette is None:
+        return []
 
-    profile_counts: dict = {}
-    for profile, _ in reps:
-        profile_counts[profile] = profile_counts.get(profile, 0) + 1
-
+    refined = _RefinedSurroundings(
+        network, [members[0] for members in reps], node_colors, palette
+    )
+    profiles = [refined.profile(i) for i in range(len(reps))]
+    profile_counts = Counter(profiles)
     keyed: List[Tuple[Tuple, CanonicalKey, List[int]]] = []
     empty_key: CanonicalKey = (0, (), b"")
-    for profile, members in reps:
+    for i, (profile, members) in enumerate(zip(profiles, reps)):
         if profile_counts[profile] > 1:
-            key = surrounding_key(network, members[0], node_colors)
+            key = refined.key(i)
         else:
             key = empty_key  # never compared against an equal profile
         keyed.append((profile, key, members))

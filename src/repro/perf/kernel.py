@@ -16,10 +16,10 @@ hot path on flat integer arrays:
   into a single integer column, segment-sorts it (a plain ``np.sort`` row
   sort for regular graphs, a ``np.lexsort`` for irregular ones), scatters
   the sorted triples into a padded per-node signature matrix and re-ranks
-  densely with ``np.unique(axis=0, return_inverse=True)``.  Ids are
-  assigned by sorted signature only — never by node index — so the kernel
-  honors the same equivariant class-numbering contract as
-  ``_refine_worklist``.
+  it densely (:func:`_rank_cols`: as many columns per ``np.unique`` as one
+  ``int64`` key holds).  Ids are assigned by sorted signature only — never
+  by node index — so the kernel honors the same equivariant
+  class-numbering contract as ``_refine_worklist``.
 * a **distance accelerator**: a synchronized round propagates information
   one hop, so a pointed cycle of n nodes needs n/2 rounds no matter how
   fast each round is.  The kernel therefore interleaves rounds with
@@ -40,19 +40,27 @@ hot path on flat integer arrays:
   matching the shorter-tuple-first rule), so canonical encodings,
   ``canonical_key`` values and the pinned ``canonical_hash`` goldens do
   not depend on which backend refined.
+* :func:`refine_surroundings` — the same refinement for all k Definition
+  3.1 surroundings of one map at once, as one ``(k·n)``-row problem whose
+  rows are ranked inside their own surrounding's block: every
+  surrounding's class ids are :class:`DigraphKernel`'s, bit for bit.
 
 Backend dispatch
 ----------------
 No selector: the backend follows from the input.  View refinement always
 runs :func:`refine_numpy`.  The digraph sites — the one-shot
-``digraph_refinement``, the refiner of the canonical search and the
-surroundings arc builder — ask :func:`use_digraph_kernel`, which picks the
-flat-array kernel from :data:`DIGRAPH_KERNEL_MIN_NODES` nodes on and the
-Python reference below it, where the kernel's per-call numpy overhead
-outweighs its vectorized rounds.  The rule reads only the node count,
-which isomorphic copies share, and both backends number classes alike, so
-every canonical key is the same whichever backend computed it.  The
-pure-Python view refinements (``_refine_worklist`` and
+``digraph_refinement``, the refiner of the canonical search, the
+surroundings arc builder and the class order's surroundings — ask
+:func:`use_digraph_kernel`, which picks the flat-array kernel from
+:data:`DIGRAPH_KERNEL_MIN_NODES` nodes on and the Python reference below
+it, where the kernel's per-call numpy overhead outweighs its vectorized
+rounds.  From the crossover on, the class order refines all of a map's
+surroundings in one :func:`refine_surroundings` batch (in chunks of
+:data:`SURROUNDING_BATCH_CELLS` cells); below it, the Python reference
+refines each surrounding in turn.  The rule reads only the node count,
+which isomorphic copies share, and every backend numbers classes alike,
+so every profile and canonical key is the same whichever backend
+computed it.  The pure-Python view refinements (``_refine_worklist`` and
 ``view_refinement_baseline``) stay as parity oracles.
 
 Degenerate guard: the padded signature matrix is Θ(n · Δ).  On irregular
@@ -107,6 +115,10 @@ _PAD = np.int64(-1)
 #: 0.8-1.2x.  The summed log numpy/python ratio (search plus one-shot) of
 #: the instances a threshold sends to numpy is least at 80: -7.3, tied with
 #: 96, against -5.3 at 64 (medians of four sweeps, 2-vCPU Xeon, 2.1 GHz).
+#: Since the ranking step packs several columns per ``np.unique`` and the
+#: segment sort is one ``np.sort``, the same criterion is least at 32
+#: (-43.2; 36: -42.9, 24: -42.5, 64: -40.7, 80: -35.3, medians of four
+#: sweeps on the same VM): moving the constant is its own measured change.
 DIGRAPH_KERNEL_MIN_NODES = 80
 
 
@@ -147,8 +159,6 @@ class FlatNetwork:
         "col",
         "max_degree",
         "regular_degree",
-        "edge_u",
-        "edge_v",
         "_bfs_csr",
         "_wbfs_csr",
         "_py_adjacency",
@@ -201,9 +211,6 @@ class FlatNetwork:
         self.max_degree = int(degrees.max()) if n else 0
         uniq_deg = np.unique(degrees)
         self.regular_degree = int(uniq_deg[0]) if len(uniq_deg) == 1 else None
-        edges = network.edges()
-        self.edge_u = np.fromiter((u for (u, _, _, _) in edges), dtype=np.int64, count=len(edges))
-        self.edge_v = np.fromiter((v for (_, _, v, _) in edges), dtype=np.int64, count=len(edges))
         self._bfs_csr: Any = None
         self._wbfs_csr: Any = None
         self._py_adjacency: Optional[List[List[int]]] = None
@@ -291,6 +298,22 @@ class FlatNetwork:
             return dist.astype(np.int64, copy=False)
         return self._bfs_python(sources)
 
+    def distance_rows(self, sources: np.ndarray) -> np.ndarray:
+        """BFS distances from each source on its own: one row per source.
+
+        Unreachable nodes get ``n + 1``, as in :meth:`distances_to_set`.
+        """
+        if HAVE_SCIPY:
+            dist = _csgraph_dijkstra(
+                self._ensure_bfs(), directed=True, unweighted=True, indices=sources
+            )
+            dist = np.where(np.isfinite(dist), dist, self.n + 1)
+            return dist.astype(np.int64, copy=False).reshape(len(sources), self.n)
+        return np.array(
+            [self._bfs_python(sources[i : i + 1]) for i in range(len(sources))],
+            dtype=np.int64,
+        ).reshape(len(sources), self.n)
+
     def _bfs_python(self, sources: np.ndarray) -> np.ndarray:
         if self._py_adjacency is None:
             self._py_adjacency = [
@@ -337,29 +360,51 @@ def _rank1d(values: np.ndarray) -> Tuple[np.ndarray, int]:
     return inverse.reshape(-1).astype(np.int64, copy=False), len(uniq)
 
 
-def _rank_cols(
-    comb: np.ndarray, num: int, cols: Any
-) -> Tuple[np.ndarray, int]:
-    """Dense ids by lexicographic order of the rows ``(comb, *cols)``.
+def _rank_cols(comb: np.ndarray, num: int, mat: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense ids by lexicographic order of the rows ``(comb, *mat[i])``.
 
-    ``comb`` must already be dense (values in ``[0, num)``).  Each column is
-    folded in with one order-preserving integer pack — ``comb · span + col``
-    — and a 1-D re-rank.  Packing is strictly monotone in ``(comb, col)``
-    lexicographic order, so by induction the result equals the row rank of
-    the full matrix, while each pass sorts plain ``int64`` keys instead of
-    ``np.unique(axis=0)``'s void-dtype records (severalfold faster on the
-    narrow rows every refinement round produces).
+    ``comb`` must already be dense (values in ``[0, num)``).  The columns
+    of ``mat`` are folded in left to right with order-preserving integer
+    packs — ``key · span + (col − lo)``, with ``lo`` and ``span`` taken
+    over the whole matrix — as many per pass as keep the packed key
+    within ``_PACK_LIMIT``, and each pass ends in one 1-D re-rank.
+    Packing is strictly monotone in lexicographic order, so by induction
+    the result equals the row rank of the full matrix however the columns
+    are grouped, while each pass sorts plain ``int64`` keys instead of
+    ``np.unique(axis=0)``'s void-dtype records.
     """
-    for col in cols:
-        if not len(col):
-            continue
-        lo = int(col.min())
-        span = int(col.max()) - lo + 1
-        if num * span > _PACK_LIMIT:  # pragma: no cover - astronomic spans
-            comb, num = _rank_rows(np.column_stack((comb, col)))
-            continue
-        comb, num = _rank1d(comb * np.int64(span) + (col - np.int64(lo)))
+    width = mat.shape[1]
+    if not len(comb) or not width:
+        return comb, num
+    lo = int(mat.min())
+    span = int(mat.max()) - lo + 1
+    if span == 1:
+        return comb, num  # constant columns order nothing
+    j = 0
+    while j < width:
+        key, bound = comb, num
+        while j < width and bound * span <= _PACK_LIMIT:
+            key = key * np.int64(span) + (mat[:, j] - np.int64(lo))
+            bound *= span
+            j += 1
+        if key is comb:  # pragma: no cover - astronomic spans
+            comb, num = _rank_rows(np.column_stack((comb, mat[:, j])))
+            j += 1
+        else:
+            comb, num = _rank1d(key)
     return comb, num
+
+
+def _segment_sorted(owner: np.ndarray, vals: np.ndarray, num: int) -> np.ndarray:
+    """``vals`` sorted inside each owner's segment, with one ``np.sort``.
+
+    ``owner`` must be non-decreasing (CSR order) and ``vals`` lie in
+    ``[0, num)``.  The packed key ``owner · num + val`` orders by owner
+    first, so the sorted keys keep every segment where it was, and taking
+    the owner part off again leaves each segment's values ascending.
+    """
+    shift = owner * np.int64(num)
+    return np.sort(shift + vals) - shift
 
 
 def _one_round(flat: FlatNetwork, cls: np.ndarray, num: int) -> Tuple[np.ndarray, int]:
@@ -369,12 +414,14 @@ def _one_round(flat: FlatNetwork, cls: np.ndarray, num: int) -> Tuple[np.ndarray
         mat = np.sort(trip.reshape(flat.n, flat.regular_degree), axis=1)
     else:
         mat = np.full((flat.n, flat.max_degree), _PAD, dtype=np.int64)
+        # A lexsort, not one packed np.sort: owner · pairs · classes can
+        # pass 2^63 on huge fresh-symbol networks.  ``owner`` is already
+        # sorted, so the reordered trips stay grouped by owner and land at
+        # their in-segment rank; the -1 pad sorts before every trip, which
+        # is the shorter-tuple-first rule.
         order = np.lexsort((trip, flat.owner))
-        # ``owner`` is already sorted, so the reordered trips stay grouped
-        # by owner and land at their in-segment rank; the -1 pad sorts
-        # before every trip, which is the shorter-tuple-first rule.
         mat[flat.owner, flat.col] = trip[order]
-    return _rank_cols(cls, num, mat.T)
+    return _rank_cols(cls, num, mat)
 
 
 def _accelerate(
@@ -417,7 +464,7 @@ def _accelerate(
         picked += 1
         before = num
         cls, num = _rank_cols(
-            cls, num, (flat.weighted_distances_to_set(members),)
+            cls, num, flat.weighted_distances_to_set(members)[:, None]
         )
         # Split counts are class-level data, so bailing after two
         # fruitless sources is as equivariant as the source choice itself.
@@ -478,11 +525,11 @@ class DigraphKernel:
         "n",
         "out_idx",
         "out_owner",
-        "out_col",
+        "out_cell",
         "max_out",
         "in_idx",
         "in_owner",
-        "in_col",
+        "in_cell",
         "max_in",
     )
 
@@ -507,8 +554,12 @@ class DigraphKernel:
             col = np.arange(total, dtype=np.int64) - indptr[owner]
             return idx, owner, col, int(degrees.max()) if n else 0
 
-        self.out_idx, self.out_owner, self.out_col, self.max_out = build(g.out_edges)
-        self.in_idx, self.in_owner, self.in_col, self.max_in = build(g.in_edges())
+        self.out_idx, self.out_owner, out_col, self.max_out = build(g.out_edges)
+        self.in_idx, self.in_owner, in_col, self.max_in = build(g.in_edges())
+        # Flat cells of the signature matrix: out-classes, then in-classes.
+        width = self.max_out + self.max_in
+        self.out_cell = self.out_owner * width + out_col
+        self.in_cell = self.in_owner * width + self.max_out + in_col
 
     def refine(self, initial: Sequence[int]) -> List[int]:
         """Exact vectorized replica of ``digraph_refinement``.
@@ -526,17 +577,16 @@ class DigraphKernel:
         n = self.n
         cls, num = _rank1d(np.asarray(list(initial), dtype=np.int64))
         mat = np.empty((n, self.max_out + self.max_in), dtype=np.int64)
+        cells = mat.reshape(-1)
         while True:
-            mat[:] = _PAD
-            if len(self.out_idx):
-                vals = cls[self.out_idx]
-                order = np.lexsort((vals, self.out_owner))
-                mat[self.out_owner, self.out_col] = vals[order]
-            if len(self.in_idx):
-                vals = cls[self.in_idx]
-                order = np.lexsort((vals, self.in_owner))
-                mat[self.in_owner, self.in_col + self.max_out] = vals[order]
-            new_cls, new_num = _rank_cols(cls, num, mat.T)
+            cells[:] = _PAD
+            cells[self.out_cell] = _segment_sorted(
+                self.out_owner, cls[self.out_idx], num
+            )
+            cells[self.in_cell] = _segment_sorted(
+                self.in_owner, cls[self.in_idx], num
+            )
+            new_cls, new_num = _rank_cols(cls, num, mat)
             if new_num == num:
                 # No class split, so the re-rank reproduced ``cls``.
                 return cls.tolist()
@@ -544,8 +594,25 @@ class DigraphKernel:
 
 
 # ----------------------------------------------------------------------
-# Vectorized surroundings support
+# Vectorized surroundings: one arc list, or every class's refinement at once
 # ----------------------------------------------------------------------
+
+#: Padded signature cells (rows × columns) one surroundings batch holds:
+#: :func:`refine_surroundings` takes the sources in chunks of at most this
+#: many cells (at least one surrounding per chunk), which bounds its
+#: memory on large maps.  A chunk of the 16×16 torus's 128 classes is
+#: 128 · 256 rows × 8 columns, so the serve sizes run as one batch.
+SURROUNDING_BATCH_CELLS = 1 << 20
+
+
+def _surrounding_arc_mask(flat: FlatNetwork, dist: np.ndarray) -> np.ndarray:
+    """Which edge-ends ``x → y`` (CSR order) are arcs of each surrounding.
+
+    ``dist`` holds one BFS distance row per source; Definition 3.1 keeps
+    the arc ``x → y`` of an edge iff ``d(x) ≤ d(y)``.  The CSR image lists
+    every edge from both ends, so both arcs of an equidistant edge appear.
+    """
+    return dist[..., flat.owner] <= dist[..., flat.nbr]
 
 
 def surrounding_arcs_numpy(network: Any, u: int) -> List[Tuple[int, int]]:
@@ -556,12 +623,126 @@ def surrounding_arcs_numpy(network: Any, u: int) -> List[Tuple[int, int]]:
     """
     flat = flat_network(network)
     dist = flat.distances_to_set(np.asarray([u], dtype=np.int64))
-    du = dist[flat.edge_u]
-    dv = dist[flat.edge_v]
-    forward = du <= dv
-    backward = dv <= du
-    arcs: List[Tuple[int, int]] = []
-    eu, ev = flat.edge_u, flat.edge_v
-    arcs.extend(zip(eu[forward].tolist(), ev[forward].tolist()))
-    arcs.extend(zip(ev[backward].tolist(), eu[backward].tolist()))
-    return arcs
+    arc = _surrounding_arc_mask(flat, dist)
+    return list(zip(flat.owner[arc].tolist(), flat.nbr[arc].tolist()))
+
+
+class SurroundingBatch:
+    """The refined surroundings of k sources of one network.
+
+    ``ids[i]`` holds the class ids of ``S(sources[i])`` and ``dist[i]`` the
+    BFS distance row of ``sources[i]``, from which that surrounding's arcs
+    follow; both are ``(k, n)`` ``int64``.
+    """
+
+    __slots__ = ("flat", "ids", "dist")
+
+    def __init__(self, flat: FlatNetwork, ids: np.ndarray, dist: np.ndarray):
+        self.flat = flat
+        self.ids = ids
+        self.dist = dist
+
+    def bits(self, i: int) -> bytes:
+        """The adjacency bits of the ``i``-th surrounding, ordered by its ids.
+
+        The ids must be discrete.  Bit ``ids[x] · n + ids[y]`` is set for
+        every arc ``x → y``, little-endian within each byte: the matrix
+        word the canonical search's leaf encodes for the order by id.
+        """
+        flat, n = self.flat, self.flat.n
+        position = self.ids[i]
+        arc = _surrounding_arc_mask(flat, self.dist[i])
+        bits = np.zeros(n * n, dtype=np.bool_)
+        bits[position[flat.owner[arc]] * n + position[flat.nbr[arc]]] = True
+        return np.packbits(bits, bitorder="little").tobytes()
+
+
+def refine_surroundings(
+    network: Any, sources: Sequence[int], colors: Sequence[int]
+) -> SurroundingBatch:
+    """The refined class ids of ``S(u)`` for every ``u`` in ``sources``.
+
+    ``ids[i]`` of the result equals
+    ``DigraphKernel(surrounding(network, sources[i], colors)).refine(colors)``
+    bit for bit.  ``colors`` is the int palette every surrounding carries;
+    sources must be valid nodes of a simple network.
+
+    All surroundings of one map share the node set, the coloring and the
+    edges; only the arc directions differ.  So the k refinements run as
+    one ``(k·n)``-row problem (:func:`_refine_surrounding_rows`): each
+    synchronized round pays numpy's per-call overhead once for the whole
+    batch, not once per surrounding.
+    """
+    flat = flat_network(network)
+    n = flat.n
+    src = np.asarray(sources, dtype=np.int64)
+    per_chunk = max(1, SURROUNDING_BATCH_CELLS // max(1, n * 2 * flat.max_degree))
+    base, _ = _rank1d(np.asarray(colors, dtype=np.int64))
+    ids = np.empty((len(src), n), dtype=np.int64)
+    dist = np.empty((len(src), n), dtype=np.int64)
+    for start in range(0, len(src), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        dist[chunk] = flat.distance_rows(src[chunk])
+        ids[chunk] = _refine_surrounding_rows(flat, dist[chunk], base)
+    return SurroundingBatch(flat, ids, dist)
+
+
+def _refine_surrounding_rows(
+    flat: FlatNetwork, dist: np.ndarray, base: np.ndarray
+) -> np.ndarray:
+    """:class:`DigraphKernel` refinement of k surroundings as one problem.
+
+    Row ``i·n + x`` is node ``x`` of the ``i``-th surrounding (its *block*).
+    Each round builds, for every row, the kernel's signature ``[class |
+    sorted out-classes | sorted in-classes]``, both halves padded with
+    ``-1`` to the map's maximum degree Δ: a wider pad than one
+    surrounding's own ``max_out``/``max_in`` adds only trailing ``-1``
+    cells, which no comparison between two rows of one block can see.
+    The ranking key leads with a global id that is block-major, so every
+    block's rows get a contiguous run of ranks, and subtracting the run's
+    start gives the dense rank of the row *within its block*: the id
+    :class:`DigraphKernel` computes for that surrounding alone.  Neighbor
+    classes enter as those block-local ids, the values the lone kernel
+    sorts.  A block that is already stable re-ranks to itself (its class
+    leads its signature, so an unsplit partition keeps its order), so
+    rounds run until no block splits, and every block ends on the fixpoint
+    its own refinement reaches.
+    """
+    k, n = dist.shape
+    width = flat.max_degree
+
+    def arcs(mask: np.ndarray, offset: int) -> Tuple[np.ndarray, ...]:
+        """(row, neighbor row, flat matrix cell) of every masked edge-end.
+
+        Row-major nonzeros come out with rows non-decreasing (CSR order
+        inside each block), so every row's arcs are one segment, and an
+        arc's place in its segment is its column past ``offset``.
+        """
+        block, end = np.nonzero(mask)
+        row = block * n + flat.owner[end]
+        other = block * n + flat.nbr[end]
+        degree = np.bincount(row, minlength=k * n)
+        first = np.cumsum(degree) - degree
+        col = np.arange(len(row), dtype=np.int64) - first[row]
+        return row, other, row * (2 * width) + offset + col
+
+    # Edge-end x -> y (CSR order): an out-arc of x iff d(x) <= d(y), and
+    # y is an in-neighbor of x iff d(y) <= d(x).
+    d_owner, d_nbr = dist[:, flat.owner], dist[:, flat.nbr]
+    out_row, out_dst, out_cell = arcs(d_owner <= d_nbr, 0)
+    in_row, in_src, in_cell = arcs(d_nbr <= d_owner, width)
+
+    num_colors = int(base.max()) + 1
+    cls = (np.arange(k, dtype=np.int64)[:, None] * num_colors + base).reshape(-1)
+    num = k * num_colors
+    mat = np.empty((k * n, 2 * width), dtype=np.int64)
+    cells = mat.reshape(-1)
+    while True:
+        local = cls - np.repeat(cls.reshape(k, n).min(axis=1), n)
+        cells[:] = _PAD
+        cells[out_cell] = _segment_sorted(out_row, local[out_dst], n)
+        cells[in_cell] = _segment_sorted(in_row, local[in_src], n)
+        new_cls, new_num = _rank_cols(cls, num, mat)
+        if new_num == num:
+            return local.reshape(k, n)
+        cls, num = new_cls, new_num
