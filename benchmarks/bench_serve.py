@@ -3,7 +3,7 @@
 The serving tentpole's performance claim: once an instance's answer is in
 the canonical-form cache, serving it again costs HTTP plumbing only — no
 refinement, no automorphism search.  The bench boots a real server (file
-backed store, zero coalescing window so latency is honest), runs a mixed
+backed store, default settings), runs a mixed
 classify/feasibility sweep cold, then re-runs it warm, and asserts the
 warm sweep is at least **10×** faster per request.  A third leg restarts
 the service on the same store file: the persistent tier must keep the
@@ -47,7 +47,7 @@ class BenchServer:
         )
 
     async def _main(self):
-        server = ElectionServer(self.service, port=0, batch_window=0.0)
+        server = ElectionServer(self.service, port=0)
         await server.start()
         self.port = server.port
         self._loop = asyncio.get_event_loop()

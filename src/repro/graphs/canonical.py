@@ -156,8 +156,14 @@ def digraph_refinement(g: Digraph, initial: Sequence[int]) -> List[int]:
 
 def _digraph_refinement_python(g: Digraph, initial: Sequence[int]) -> List[int]:
     """The per-node tuple/sort reference implementation (parity oracle)."""
+    return _refine_python(g, g.in_edges(), initial)
+
+
+def _refine_python(
+    g: Digraph, preds: Sequence[FrozenSet[int]], initial: Sequence[int]
+) -> List[int]:
+    """:func:`_digraph_refinement_python` on precomputed predecessor sets."""
     classes = list(initial)
-    preds = g.in_edges()
     while True:
         sigs = []
         for x in range(g.num_nodes):
@@ -198,13 +204,15 @@ def _encode_ordering(g: Digraph, order: Sequence[int]) -> Encoding:
 
 def _make_refiner(g: Digraph):
     """One refinement callable for a whole individualization–refinement
-    search, by the same size rule as :func:`digraph_refinement`: the numpy
-    backend prebuilds the flat digraph buffers once and reuses them across
-    the hundreds of re-refinements the recursion makes.
+    search, by the same size rule as :func:`digraph_refinement`: either
+    backend builds what it needs of the digraph once (numpy its flat
+    buffers, Python the predecessor sets) and reuses it across the
+    hundreds of re-refinements the recursion makes.
     """
     if use_digraph_kernel(g.num_nodes):
         return DigraphKernel(g).refine
-    return lambda classes: _digraph_refinement_python(g, classes)
+    preds = g.in_edges()
+    return lambda classes: _refine_python(g, preds, classes)
 
 
 class SearchResult(NamedTuple):

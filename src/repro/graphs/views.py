@@ -323,7 +323,6 @@ def _refine_worklist(
 def view_refinement(
     network: AnonymousNetwork,
     node_colors: Optional[NodeColoring] = None,
-    max_rounds: Optional[int] = None,
 ) -> List[int]:
     """The view-equivalence partition, as a class id per node.
 
@@ -334,12 +333,8 @@ def view_refinement(
     refinement runs.  The worklist (:func:`_refine_worklist`) and the
     round-based reference (:func:`view_refinement_baseline`) induce the
     same partition with equivariant ids of their own numbering; the parity
-    tests and the scaling benchmark call them directly.  ``max_rounds``
-    requests the depth-limited classes instead, which only the round-based
-    reference defines — those calls bypass the cache.
+    tests and the scaling benchmark call them directly.
     """
-    if max_rounds is not None:
-        return view_refinement_baseline(network, node_colors, max_rounds)
     ids = _cache.memo(
         network,
         "view_refinement",

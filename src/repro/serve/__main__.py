@@ -98,7 +98,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         queue_limit=args.queue_limit,
-        batch_window=args.batch_window,
         deadline=args.deadline,
     )
 
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1)
     serve.add_argument("--executor", choices=("process", "thread"), default="process")
     serve.add_argument("--queue-limit", type=int, default=64)
-    serve.add_argument("--batch-window", type=float, default=0.005)
     serve.add_argument("--deadline", type=float, default=30.0)
     serve.add_argument(
         "--verify-every",

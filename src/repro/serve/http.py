@@ -12,10 +12,12 @@ over ``asyncio.start_server``:
   counters appear next to the perf-cache and battery metrics.
 
 Request flow: every accepted query lands in a pending list; a dispatcher
-task wakes, lets a short *coalescing window* pass so concurrent arrivals
-pile up, then drains the whole backlog as **one**
+task wakes and at once drains the whole backlog as **one**
 :meth:`~repro.serve.service.ElectionService.answer_batch` call in a worker
-thread (the event loop never blocks on refinement).  Back-pressure is a
+thread (the event loop never blocks on refinement).  A request that
+reaches an idle server is dispatched alone, without waiting for company;
+requests that arrive while a batch runs queue behind it and form the next
+batch, so concurrent traffic still coalesces.  Back-pressure is a
 hard bound on backlogged queries: past ``queue_limit`` the server sheds
 with ``429`` + ``Retry-After`` instead of growing the queue.  Each request
 carries a deadline (``X-Repro-Deadline`` header, seconds; default
@@ -123,10 +125,8 @@ class ElectionServer:
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`).
     queue_limit:
-        Maximum backlogged queries before load shedding (429).
-    batch_window:
-        Seconds the dispatcher waits after waking so that concurrent
-        requests coalesce into one batch.
+        Maximum backlogged queries before load shedding (429).  The
+        backlog is what waits for dispatch, not the batch that runs.
     deadline:
         Default per-request deadline in seconds (clients override with
         the ``X-Repro-Deadline`` header).
@@ -140,7 +140,6 @@ class ElectionServer:
         host: str = "127.0.0.1",
         port: int = 8421,
         queue_limit: int = 64,
-        batch_window: float = 0.005,
         deadline: float = 30.0,
         max_body: int = 1 << 20,
     ):
@@ -148,7 +147,6 @@ class ElectionServer:
         self.host = host
         self._requested_port = port
         self.queue_limit = queue_limit
-        self.batch_window = batch_window
         self.deadline = deadline
         self.max_body = max_body
         self._server: Optional[asyncio.AbstractServer] = None
@@ -200,7 +198,7 @@ class ElectionServer:
             await self.stop()
 
     # ------------------------------------------------------------------
-    # Dispatcher: coalesce the backlog into single batches
+    # Dispatcher: each wake-up drains the backlog as one batch
     # ------------------------------------------------------------------
 
     def _submit(
@@ -226,8 +224,6 @@ class ElectionServer:
         while True:
             await self._wake.wait()
             self._wake.clear()
-            if self.batch_window > 0:
-                await asyncio.sleep(self.batch_window)  # let arrivals pile up
             batch, self._pending = self._pending, []
             self._backlog = 0
             _m.QUEUE_DEPTH.set(0)
@@ -247,8 +243,8 @@ class ElectionServer:
             except Exception:
                 # One bad query (e.g. a corrupt store row) must not fail
                 # the unrelated requests that merely coalesced into this
-                # batch window: retry each request separately so the error
-                # lands only on the request that caused it.
+                # batch: retry each request separately so the error lands
+                # only on the request that caused it.
                 await self._answer_each(batch, loop)
                 continue
             offset = 0
@@ -368,7 +364,7 @@ class ElectionServer:
             return None
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
-            raise ConnectionError("malformed request line")
+            raise _Reject(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         header_count = 0

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.placement import Placement
 from repro.graphs import (
     complete_bipartite_graph,
     cycle_graph,
@@ -29,6 +30,7 @@ from repro.graphs.canonical import (
     Digraph,
     _digraph_refinement_python,
     _search,
+    canonical_hash,
     digraph_refinement,
     underlying_digraph,
 )
@@ -114,19 +116,19 @@ def test_search_is_the_same_with_either_refiner(name):
 def backend_log(monkeypatch):
     """Record which backend each digraph refinement runs, by node count."""
     log = []
-    real_python = canonical._digraph_refinement_python
+    real_python = canonical._refine_python
 
     class RecordingKernel(DigraphKernel):
         def refine(self, initial):
             log.append(("numpy", self.n))
             return super().refine(initial)
 
-    def recording_python(g, initial):
+    def recording_python(g, preds, initial):
         log.append(("python", g.num_nodes))
-        return real_python(g, initial)
+        return real_python(g, preds, initial)
 
     monkeypatch.setattr(canonical, "DigraphKernel", RecordingKernel)
-    monkeypatch.setattr(canonical, "_digraph_refinement_python", recording_python)
+    monkeypatch.setattr(canonical, "_refine_python", recording_python)
     return log
 
 
@@ -149,6 +151,23 @@ def test_search_refiner_follows_the_size_rule(backend_log, n, backend):
         canonical.canonical_search(g)
     assert backend_log
     assert set(backend_log) == {(backend, n)}
+
+
+def test_python_search_builds_predecessor_sets_once(monkeypatch):
+    # A search re-refines its digraph about a hundred times here; the
+    # Python refiner reads predecessor sets built once for the search.
+    sizes = []
+    real_in_edges = Digraph.in_edges
+
+    def counting(self):
+        sizes.append(self.num_nodes)
+        return real_in_edges(self)
+
+    monkeypatch.setattr(Digraph, "in_edges", counting)
+    net = complete_bipartite_graph(8, 8)
+    with uncached():
+        canonical_hash(net, Placement.of([0, 8]).bicoloring(net))
+    assert sizes == [16]
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,7 @@ def fan_out(n, work):
 
 
 def test_identical_queries_compute_once(make_server):
-    server = make_server(batch_window=0.05)
+    server = make_server()
     n = 8
 
     def work(i):
@@ -68,7 +68,7 @@ def test_identical_queries_compute_once(make_server):
 
 
 def test_overlapping_mix_computes_once_per_distinct_hash(make_server):
-    server = make_server(batch_window=0.05)
+    server = make_server()
     queries = [
         ("feasibility", C6, [0, 3]),
         ("feasibility", C6, [0, 2]),
@@ -95,8 +95,10 @@ def test_overlapping_mix_computes_once_per_distinct_hash(make_server):
     assert sm.COMPUTES.total() == len(queries)
 
 
-def test_over_capacity_burst_is_shed_not_crashed(make_server):
-    server = make_server(queue_limit=3, batch_window=0.2)
+def test_over_capacity_burst_is_shed_not_crashed(make_server, wait_until):
+    queue_limit = 3
+    server = make_server(queue_limit=queue_limit)
+    gate = server.hold()
     expected = serial_bytes("classify", C6, [0, 3])
     n = 16
     outcomes = []
@@ -114,11 +116,24 @@ def test_over_capacity_burst_is_shed_not_crashed(make_server):
                 with lock:
                     outcomes.append(("shed", None))
 
-    fan_out(n, work)
-    assert len(outcomes) == n
+    # A held batch keeps the dispatcher busy, so the burst meets a full
+    # queue: the first queue_limit requests wait, every later one is shed.
+    plug = threading.Thread(target=work, args=(-1,))
+    plug.start()
+    gate.wait_calls(1)
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    gate.wait_queued(queue_limit)
+    wait_until(lambda: len(outcomes) == n - queue_limit)
+    gate.open()
+    for t in threads + [plug]:
+        t.join(timeout=30)
+    assert len(outcomes) == n + 1  # the burst and the plug
     accepted = [body for kind, body in outcomes if kind == "ok"]
     shed = [kind for kind, _ in outcomes if kind == "shed"]
     assert accepted, "the burst must not starve every request"
+    assert len(shed) == n - queue_limit
     assert all(body == expected for body in accepted)
     assert sm.REJECTED.value(reason="queue-full") == len(shed)
     # The server survived: it still answers, and the service is intact.

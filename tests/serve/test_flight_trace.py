@@ -100,36 +100,46 @@ class TestTraceJoin:
         import json
         import threading
 
-        server = make_server(batch_window=0.05)
+        server = make_server()
+        plug_payload = query_payload("feasibility", Q3, [0, 3])
+        with ServeClient(port=server.port) as client:
+            client.request("POST", "/v1/feasibility", plug_payload)  # warm
+        gate = server.hold()
         recorder = flight.enable_flight()
         try:
             payload = query_payload("elect", Q3, [1, 2, 4])
             results = []
 
-            def post():
+            def post(body):
                 with ServeClient(port=server.port) as client:
-                    _, _, body = client.request("POST", "/v1/elect", payload)
-                    results.append(json.loads(body))
+                    _, _, answer = client.request("POST", f"/v1/{body['op']}", body)
+                    results.append(json.loads(answer))
 
-            threads = [threading.Thread(target=post) for _ in range(2)]
+            # A warm plug holds the dispatcher, so both requests below
+            # queue behind it and form the next batch together.
+            plug = threading.Thread(target=post, args=(plug_payload,))
+            plug.start()
+            gate.wait_calls(1)
+            threads = [
+                threading.Thread(target=post, args=(payload,)) for _ in range(2)
+            ]
             for t in threads:
                 t.start()
-            for t in threads:
-                t.join()
+            gate.wait_queued(2)
+            gate.open()
+            for t in threads + [plug]:
+                t.join(timeout=30)
         finally:
             flight.disable_flight()
-        assert len(results) == 2
+        assert len(results) == 3
+        assert len(gate.calls[1]) == 2
         spans = recorder.spans()
         computes = [s for s in spans if s.name == "serve.compute"]
         links = [s for s in spans if s.name == "serve.coalesced"]
-        # Either both landed in one batch (one compute + one link) or the
-        # second arrived after the first finished (memory hit, no link);
-        # there must never be two computes for the same canonical hash.
+        # One compute for the canonical hash, and the duplicate links to it.
         assert len(computes) == 1
-        if links:
-            assert links[0].links == (
-                (computes[0].trace_id, computes[0].span_id),
-            )
+        assert len(links) == 1
+        assert links[0].links == ((computes[0].trace_id, computes[0].span_id),)
 
 
 class TestRequestLatencyMetric:

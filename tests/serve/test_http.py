@@ -1,8 +1,8 @@
 """The HTTP layer: endpoints, error mapping, back-pressure, deadlines."""
 
+import asyncio
 import socket
 import threading
-import time
 
 import pytest
 
@@ -148,9 +148,10 @@ def test_oversized_body_is_rejected(make_server):
 
 
 def test_deadline_miss_is_504_with_retry_after(make_server):
-    # A coalescing window longer than the deadline forces the timeout
-    # deterministically — no slow computation needed.
-    server = make_server(batch_window=0.5)
+    # A held batch cannot answer before the deadline, so the timeout is
+    # deterministic — no slow computation needed.
+    server = make_server()
+    server.hold()
     with ServeClient(port=server.port) as client:
         with pytest.raises(ServeHTTPError) as err:
             client.classify(C6, [0, 3], deadline=0.05)
@@ -159,27 +160,42 @@ def test_deadline_miss_is_504_with_retry_after(make_server):
     assert sm.REJECTED.value(reason="deadline") == 1
 
 
-def test_over_capacity_burst_sheds_with_429(make_server):
-    server = make_server(queue_limit=2, batch_window=0.4)
-    filler_done = threading.Event()
+def _send_batch(port, queries, done=None):
+    """A client thread posting ``queries`` as one batch."""
 
-    def filler():
-        with ServeClient(port=server.port) as client:
-            client.batch(
-                [
-                    query_payload("feasibility", C6, [0, 3]),
-                    query_payload("feasibility", C6, [0, 2]),
-                ]
-            )
-        filler_done.set()
+    def send():
+        with ServeClient(port=port) as client:
+            client.batch(queries)
+        if done is not None:
+            done.set()
 
-    thread = threading.Thread(target=filler)
+    thread = threading.Thread(target=send)
     thread.start()
-    time.sleep(0.1)  # filler's two queries now occupy the whole queue
+    return thread
+
+
+def test_over_capacity_burst_sheds_with_429(make_server):
+    server = make_server(queue_limit=2)
+    gate = server.hold()
+    plug = _send_batch(server.port, [query_payload("feasibility", C6, [0])])
+    gate.wait_calls(1)  # the plug's batch runs, held at the gate
+    filler_done = threading.Event()
+    filler = _send_batch(
+        server.port,
+        [
+            query_payload("feasibility", C6, [0, 3]),
+            query_payload("feasibility", C6, [0, 2]),
+        ],
+        filler_done,
+    )
+    gate.wait_queued(2)  # filler's two queries now occupy the whole queue
     with ServeClient(port=server.port) as client:
         with pytest.raises(ServeHTTPError) as err:
             client.classify(C6, [0, 3])
-    thread.join(timeout=10)
+    gate.open()
+    plug.join(timeout=10)
+    filler.join(timeout=10)
+    assert not plug.is_alive()
     assert err.value.status == 429
     assert err.value.retry_after == 1.0
     assert sm.REJECTED.value(reason="queue-full") == 1
@@ -188,8 +204,8 @@ def test_over_capacity_burst_sheds_with_429(make_server):
 
 def test_bad_query_in_coalesced_batch_fails_only_itself(make_server, tmp_path):
     # A corrupt store row makes one query raise inside answer_batch; the
-    # unrelated request that coalesced into the same batch window must
-    # still get its 200 (previously the whole batch shared the 500/400).
+    # unrelated request that coalesced into the same batch must still get
+    # its 200 (previously the whole batch shared the 500/400).
     store = CanonicalStore(str(tmp_path / "cache.db"))
     poisoned = query_key("feasibility", cycle_graph(6), Placement.of([0, 2]))
     with store._lock, store._conn:
@@ -198,7 +214,10 @@ def test_bad_query_in_coalesced_batch_fails_only_itself(make_server, tmp_path):
             " VALUES ('feasibility', ?, '{not json', 0, 0, 0)",
             (poisoned,),
         )
-    server = make_server(ElectionService(store=store), batch_window=0.3)
+    server = make_server(ElectionService(store=store))
+    gate = server.hold()
+    plug = _send_batch(server.port, [query_payload("feasibility", C6, [0])])
+    gate.wait_calls(1)  # both requests below queue behind the held plug
     status = {}
 
     def hit(name, homes):
@@ -215,10 +234,54 @@ def test_bad_query_in_coalesced_batch_fails_only_itself(make_server, tmp_path):
     ]
     for thread in threads:
         thread.start()
-    for thread in threads:
+    gate.wait_queued(2)
+    gate.open()
+    for thread in threads + [plug]:
         thread.join(timeout=30)
+    assert len(gate.calls[1]) == 2  # both queries reached one batch
     assert status["good"] == 200  # unharmed by its batch-mate
     assert status["poisoned"] == 400  # the corrupt row's ServeError
+
+
+def test_idle_server_dispatches_at_once_and_a_backlog_forms_one_batch(
+    make_server,
+):
+    # A lone request to an idle server is dispatched alone: the burst
+    # below arrives in the very next event-loop callback, before any
+    # window could have closed, and still misses its batch.  The burst
+    # queues behind the held batch and is answered by one next call.
+    server = make_server()
+    gate = server.hold()
+    net = cycle_graph(6)
+    lone = ("feasibility", net, Placement.of([0, 3]))
+    burst = [
+        ("feasibility", net, Placement.of([0, 2])),
+        ("classify", net, Placement.of([0, 3])),
+        ("elect", net, Placement.of([0])),
+    ]
+    futures = []
+
+    def arrive():  # on the server's loop, which is idle
+        futures.append(server.http._submit([lone]))
+        # Runs after the dispatcher's wake-up, which _submit scheduled.
+        server.loop.call_soon(
+            lambda: futures.extend(server.http._submit([q]) for q in burst)
+        )
+
+    server.loop.call_soon_threadsafe(arrive)
+    gate.wait_calls(1)
+    assert gate.calls == [[lone]]
+    gate.wait_queued(len(burst))
+    gate.open()
+
+    async def answers():
+        return await asyncio.gather(*futures)
+
+    results = asyncio.run_coroutine_threadsafe(answers(), server.loop).result(30)
+    assert gate.calls == [[lone], burst]
+    for query, (values, sources) in zip([lone] + burst, results):
+        assert values == [compute_payload(*query)]
+        assert sources == ["compute"]
 
 
 def _raw_exchange(port: int, request: bytes) -> bytes:
@@ -267,6 +330,19 @@ def test_bad_content_length_is_400(make_server):
     )
     response = _raw_exchange(server.port, request)
     assert response.startswith(b"HTTP/1.1 400")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b"GARBAGE", b"GET /healthz", b"GET /healthz HTTP/1.1 extra"],
+    ids=["one-part", "two-parts", "four-parts"],
+)
+def test_malformed_request_line_is_400(make_server, line):
+    server = make_server()
+    response = _raw_exchange(server.port, line + b"\r\n\r\n")
+    assert response.startswith(b"HTTP/1.1 400")
+    assert b"Content-Type: application/json" in response
+    assert b"Connection: close" in response
 
 
 def test_connection_keep_alive_reuses_the_socket(make_server):
