@@ -1,6 +1,6 @@
 """Perf — refinement backend sweeps: the crossover the dispatch rule uses.
 
-Two sections, both calling the backend functions directly.
+Three sections, all calling the backend functions directly.
 
 **View refinement at scale.**  Sweeps cycles, hypercubes and tori through
 ``refine_numpy`` (the kernel ``view_refinement`` runs), ``_refine_worklist``
@@ -32,6 +32,14 @@ Asserts both backends give the same search result and class numbers, that
 Python wins every search at n ≤ 16 and that numpy wins the search on the
 long cycles.
 
+**Surroundings batch by rows.**  The class order refines the k class
+representatives' surroundings of an n-node map either one at a time with
+``_digraph_refinement_python`` or as one ``refine_surroundings`` batch of
+k·n rows, and the rule reads the rows.  Maps below 80 nodes, each with two
+homes, span 12 to 4096 rows.  Asserts both legs give the same ids, that
+Python wins every batch of at most 36 rows and that the batch wins every
+batch of at least 96.
+
 Every timing ratio lands in ``extra_info`` as ``<x>_over_<y>`` (lower is
 better for ``x``), next to the constant the rule uses; CI gates them
 against ``benchmarks/baselines/BENCH_views.json`` with the perf-regression
@@ -43,10 +51,12 @@ import time
 
 import pytest
 
+from repro.graphs.automorphisms import equivalence_classes
 from repro.graphs.builders import (
     complete_bipartite_graph,
     cycle_graph,
     grid_graph,
+    path_graph,
     petersen_graph,
 )
 from repro.graphs.canonical import (
@@ -57,7 +67,9 @@ from repro.graphs.canonical import (
     underlying_digraph,
 )
 from repro.graphs.cayley import hypercube_cayley, torus_cayley
+from repro.graphs.surroundings import surrounding
 from repro.graphs.views import (
+    _normalize_colors,
     _refine_worklist,
     refinement_adjacency,
     view_refinement_baseline,
@@ -66,6 +78,7 @@ from repro.perf import flat_network, invalidate, refine_numpy
 from repro.perf.kernel import (
     DIGRAPH_KERNEL_MIN_NODES,
     DigraphKernel,
+    refine_surroundings,
     use_digraph_kernel,
 )
 
@@ -325,3 +338,91 @@ def test_bench_digraph_crossover(benchmark, label, build, homes):
         assert search_ratio > 1.0, f"{label}: numpy won a search at n={n}"
     if label in _NUMPY_WINS_ON:
         assert search_ratio < 1.0, f"{label}: python won a search at n={n}"
+
+
+# ----------------------------------------------------------------------
+# Surroundings batch: the same rule, read as k·n rows
+# ----------------------------------------------------------------------
+
+#: (label, constructor, two homes) per swept map, all below 80 nodes, in
+#: increasing rows: k classes of n nodes make k·n = 12 (K3,3) to 4096
+#: (P64).
+SURROUNDINGS_SWEEP = [
+    ("K3,3", lambda: complete_bipartite_graph(3, 3), (0, 3)),
+    ("K5,5", lambda: complete_bipartite_graph(5, 5), (0, 5)),
+    ("C6", lambda: cycle_graph(6), (0, 2)),
+    ("Petersen", petersen_graph, (0, 1)),
+    ("Q3", lambda: hypercube_cayley(3).network, (0, 3)),
+    ("T3x3", lambda: torus_cayley([3, 3]).network, (0, 4)),
+    ("C8", lambda: cycle_graph(8), (0, 2)),
+    ("G3x3", lambda: grid_graph(3, 3), (0, 4)),
+    ("P8", lambda: path_graph(8), (0, 2)),
+    ("C12", lambda: cycle_graph(12), (0, 4)),
+    ("Q4", lambda: hypercube_cayley(4).network, (0, 3)),
+    ("T4x4", lambda: torus_cayley([4, 4]).network, (0, 5)),
+    ("P10", lambda: path_graph(10), (0, 3)),
+    ("C16", lambda: cycle_graph(16), (0, 5)),
+    ("P12", lambda: path_graph(12), (0, 4)),
+    ("G4x4", lambda: grid_graph(4, 4), (0, 5)),
+    ("T5x5", lambda: torus_cayley([5, 5]).network, (0, 6)),
+    ("P20", lambda: path_graph(20), (0, 6)),
+    ("C32", lambda: cycle_graph(32), (0, 10)),
+    ("P40", lambda: path_graph(40), (0, 13)),
+    ("G8x8", lambda: grid_graph(8, 8), (0, 9)),
+    ("P64", lambda: path_graph(64), (0, 21)),
+]
+
+#: Rows up to which Python must win every batch, and from which numpy
+#: must: the two ends the batch's own crossover sits between.
+_PYTHON_WINS_ROWS_UP_TO = 36
+_NUMPY_WINS_ROWS_FROM = 96
+
+
+@pytest.mark.parametrize(
+    "label,build,homes",
+    SURROUNDINGS_SWEEP,
+    ids=[row[0] for row in SURROUNDINGS_SWEEP],
+)
+def test_bench_surroundings_crossover(benchmark, label, build, homes):
+    net = build()
+    n = net.num_nodes
+    colors = [1 if v in homes else 0 for v in range(n)]
+    palette = _normalize_colors(net, colors)
+    sources = [min(cls) for cls in equivalence_classes(net, colors)]
+    rows = len(sources) * n
+    # The Python leg refines surroundings built up front, as `surrounding`
+    # memoizes them per map; the batch leg runs its BFS and arc masks in
+    # every call, on the map's warm flat image.
+    graphs = [surrounding(net, u, colors) for u in sources]
+    flat_network(net)
+    calls = {
+        "batch": lambda _: refine_surroundings(net, sources, palette).ids.tolist(),
+        "python": lambda _: [_digraph_refinement_python(g, palette) for g in graphs],
+    }
+    first, times = _race(calls, 3, _RACE_BUDGET_S / 2)
+    assert first["batch"] == first["python"], label
+
+    # The timed call is what the rule runs on this map.
+    rule = "batch" if use_digraph_kernel(rows) else "python"
+    benchmark.pedantic(
+        calls[rule],
+        args=(0,),
+        rounds=_bench_rounds(min(times[rule])),
+        warmup_rounds=1,
+        iterations=1,
+    )
+
+    ratio = _ratio(times, "batch", "python")
+    info = benchmark.extra_info
+    info["rows"] = rows
+    info["digraph_kernel_min_nodes"] = DIGRAPH_KERNEL_MIN_NODES
+    info["batch_numpy_over_python"] = round(ratio, 4)
+    print(
+        f"\n{label} n={n}, {len(sources)} surroundings, {rows} rows: "
+        f"batch {min(times['batch']) * 1e3:.3f} ms, "
+        f"python {min(times['python']) * 1e3:.3f} ms ({ratio:.2f})"
+    )
+    if rows <= _PYTHON_WINS_ROWS_UP_TO:
+        assert ratio > 1.0, f"{label}: the batch won at {rows} rows"
+    if rows >= _NUMPY_WINS_ROWS_FROM:
+        assert ratio < 1.0, f"{label}: python won at {rows} rows"

@@ -159,10 +159,12 @@ class _RefinedSurroundings:
     """The surroundings of some sources, each refined exactly once.
 
     ``ids[i]`` is ``digraph_refinement`` of ``S(sources[i])`` from the
-    palette: the Python reference per surrounding below the kernel
-    crossover, one :func:`~repro.perf.kernel.refine_surroundings` batch
-    from it on (the same class ids).  Both tiers of the class order read
-    it: :meth:`profile` is :func:`surrounding_profile` and :meth:`key` is
+    palette.  The k surroundings of an n-node map are one problem of k·n
+    rows, and the dispatch rule reads that count: one
+    :func:`~repro.perf.kernel.refine_surroundings` batch from the kernel
+    crossover on, the Python reference per surrounding below it (the same
+    class ids).  Both tiers of the class order read it: :meth:`profile` is
+    :func:`surrounding_profile` and :meth:`key` is
     :func:`surrounding_key`, without refining the surrounding again.
     """
 
@@ -179,7 +181,7 @@ class _RefinedSurroundings:
         self.palette = palette
         self.batch = None
         self.graphs: List[Optional[Digraph]] = [None] * len(sources)
-        if use_digraph_kernel(network.num_nodes):
+        if use_digraph_kernel(len(sources) * network.num_nodes):
             self.batch = refine_surroundings(network, sources, palette)
             self.ids: List[List[int]] = self.batch.ids.tolist()
         else:
@@ -193,8 +195,8 @@ class _RefinedSurroundings:
         """The canonical key of the ``i``-th surrounding.
 
         A discrete refinement is the canonical search's only leaf, so its
-        order by id gives the key directly — from the batch's arcs above
-        the crossover, with no :class:`Digraph` built.  Otherwise the
+        order by id gives the key directly — from the batch's arcs when
+        there is a batch, with no :class:`Digraph` built.  Otherwise the
         search starts from the refined partition.
         """
         row = self.ids[i]
@@ -230,7 +232,9 @@ def order_equivalence_classes(
     fingerprint ties.  The resulting order is deterministic and
     isomorphism-invariant either way.  Each representative's surrounding
     is refined once, and that refinement serves both tiers
-    (:class:`_RefinedSurroundings`).
+    (:class:`_RefinedSurroundings`): as one batch when the k classes of an
+    n-node map make k·n rows from the kernel crossover on, one by one in
+    Python below it.
 
     Returns a new list of classes (each sorted internally) in ``≺`` order.
     """

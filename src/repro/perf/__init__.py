@@ -14,7 +14,7 @@ funnels through the view-refinement and canonical-form machinery in
 * :mod:`repro.perf.kernel` — the flat-array refinement kernel: CSR-style
   numpy buffers per network (:func:`flat_network`), the vectorized view
   refinement (:func:`refine_numpy`), and the exact-parity digraph kernel
-  the canonical machinery uses from a measured node count on
+  the canonical machinery uses from a measured row count on
   (:func:`~repro.perf.kernel.use_digraph_kernel`);
 * :mod:`repro.perf.parallel` — :class:`ParallelBatteryRunner`, a
   ``concurrent.futures`` fan-out over independent election instances with

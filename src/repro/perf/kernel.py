@@ -51,15 +51,19 @@ No selector: the backend follows from the input.  View refinement always
 runs :func:`refine_numpy`.  The digraph sites — the one-shot
 ``digraph_refinement``, the refiner of the canonical search, the
 surroundings arc builder and the class order's surroundings — ask
-:func:`use_digraph_kernel`, which picks the flat-array kernel from
-:data:`DIGRAPH_KERNEL_MIN_NODES` nodes on and the Python reference below
-it, where the kernel's per-call numpy overhead outweighs its vectorized
-rounds.  From the crossover on, the class order refines all of a map's
-surroundings in one :func:`refine_surroundings` batch (in chunks of
-:data:`SURROUNDING_BATCH_CELLS` cells); below it, the Python reference
-refines each surrounding in turn.  The rule reads only the node count,
-which isomorphic copies share, and every backend numbers classes alike,
-so every profile and canonical key is the same whichever backend
+:func:`use_digraph_kernel` with the number of rows the problem refines,
+which picks the flat-array kernel from :data:`DIGRAPH_KERNEL_MIN_NODES`
+rows on and the Python reference below it, where the kernel's per-call
+numpy overhead outweighs its vectorized rounds.  One digraph of n nodes
+is n rows.  The class order's k surroundings of an n-node map are k·n
+rows: from the crossover on it refines them all in one
+:func:`refine_surroundings` batch (in chunks of
+:data:`SURROUNDING_BATCH_CELLS` cells), below it the Python reference
+refines each surrounding in turn.  So a map of 9 nodes and 9 classes
+takes the batch, while each of its surroundings, refined alone, stays in
+Python.  The rule reads only sizes that isomorphic copies share (the node
+count and the number of classes), and every backend numbers classes
+alike, so every profile and canonical key is the same whichever backend
 computed it.  The pure-Python view refinements (``_refine_worklist`` and
 ``view_refinement_baseline``) stay as parity oracles.
 
@@ -104,8 +108,10 @@ _PACK_LIMIT = 2**62
 
 _PAD = np.int64(-1)
 
-#: Node count from which the digraph sites refine on :class:`DigraphKernel`
-#: (the Python reference below it).  Chosen from the small-n sweep of
+#: Row count from which the digraph sites refine on :class:`DigraphKernel`
+#: or :func:`refine_surroundings` (the Python reference below it): the
+#: node count of one digraph, k·n for k surroundings of an n-node map.
+#: Chosen for one digraph from the small-n sweep of
 #: ``benchmarks/bench_refinement_scaling.py``: canonical search and one-shot
 #: refinement on both backends, cycles, grids, tori, hypercubes, K_a,a and
 #: Petersen at n = 6..256 with two homes.  Python wins every search up to
@@ -119,12 +125,22 @@ _PAD = np.int64(-1)
 #: segment sort is one ``np.sort``, the same criterion is least at 32
 #: (-43.2; 36: -42.9, 24: -42.5, 64: -40.7, 80: -35.3, medians of four
 #: sweeps on the same VM): moving the constant is its own measured change.
+#: The same sweep's surroundings section races one batch against the
+#: Python reference per surrounding on maps below 80 nodes: Python wins up
+#: to 54 rows and the batch from 64 on (G3x3 1.05, P8 0.70, C12 0.54,
+#: medians of three sweeps), so 80 rows sits just above the batch's own
+#: crossover.
 DIGRAPH_KERNEL_MIN_NODES = 80
 
 
-def use_digraph_kernel(num_nodes: int) -> bool:
-    """The dispatch rule of the digraph sites: numpy from the crossover on."""
-    return num_nodes >= DIGRAPH_KERNEL_MIN_NODES
+def use_digraph_kernel(rows: int) -> bool:
+    """The dispatch rule of the digraph sites: numpy from the crossover on.
+
+    ``rows`` is the size of the refinement about to run: ``n`` for one
+    digraph of n nodes, ``k·n`` for k surroundings of an n-node map
+    refined as one batch.
+    """
+    return rows >= DIGRAPH_KERNEL_MIN_NODES
 
 
 def default_kernel() -> str:

@@ -21,10 +21,24 @@ v2), with ``wipe_on_mismatch=True`` offered for caches that are pure
 derived data.
 
 Eviction is LRU by ``last_used`` once ``max_entries`` is exceeded, counted
-in ``serve_store_evictions_total``.  All access goes through one
-connection guarded by an ``RLock`` — the serve layer calls in from
-executor threads — and every value is canonical JSON text, so a row read
-back is byte-identical to the bytes that were served when it was written.
+in ``serve_store_evictions_total``.  The index ``entries_lru`` on
+``(last_used, op, chash)`` holds the eviction order, so evicting at
+capacity reads the oldest rows off the index instead of sorting the
+table.  All access goes through one connection guarded by an ``RLock`` —
+the serve layer calls in from executor threads — and every value is
+canonical JSON text, so a row read back is byte-identical to the bytes
+that were served when it was written.
+
+A file store runs SQLite's write-ahead log with ``synchronous=NORMAL``,
+as :class:`~repro.obs.ledger.RunLedger` does: a commit appends to the log
+without syncing it, so a ``put`` or the LRU update of a hit costs tens of
+microseconds instead of a synced rollback journal's most of a
+millisecond.  A committed answer survives a killed process, and the log
+cannot be corrupted mid-commit; the last commits before a power loss may
+roll back, which the rollback journal's synced commits would have kept.
+That is acceptable for the same reason ``wipe_on_mismatch`` is: the
+store holds only derived data, and a lost answer is computed again.  An
+in-memory store reports journal mode ``memory`` and keeps it.
 """
 
 from __future__ import annotations
@@ -67,6 +81,7 @@ class CanonicalStore:
         self.max_entries = max_entries
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
+        self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._init_schema(wipe_on_mismatch)
 
@@ -86,6 +101,10 @@ class CanonicalStore:
                 "created REAL NOT NULL, last_used REAL NOT NULL,"
                 "hits INTEGER NOT NULL DEFAULT 0,"
                 "PRIMARY KEY (op, chash))"
+            )
+            self._conn.execute(
+                "CREATE INDEX IF NOT EXISTS entries_lru "
+                "ON entries (last_used, op, chash)"
             )
             stamps = {
                 "schema_version": str(SCHEMA_VERSION),

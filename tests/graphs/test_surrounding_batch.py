@@ -3,9 +3,10 @@
 ``order_equivalence_classes`` refines every representative's surrounding
 exactly once and reads both tiers of the Lemma 3.1 order off that
 refinement: the profile, and for profile ties the canonical key (straight
-from a discrete refinement, or a canonical search started from it).  From
-``DIGRAPH_KERNEL_MIN_NODES`` nodes on, all surroundings of a map are
-refined as one array problem by ``refine_surroundings``.  Pinned here:
+from a discrete refinement, or a canonical search started from it).  When
+the k surroundings of an n-node map make k·n rows from
+``DIGRAPH_KERNEL_MIN_NODES`` on, they are refined as one array problem
+by ``refine_surroundings``.  Pinned here:
 
 * the batch returns the reference class ids of every surrounding, at any
   size and any chunking (Hypothesis, calling the batch directly at small
@@ -13,8 +14,9 @@ refined as one array problem by ``refine_surroundings``.  Pinned here:
 * every profile and key equals ``surrounding_profile`` and
   ``surrounding_key``, and the class order equals the two-tier
   per-surrounding reference, on large instances and relabeled copies;
-* each surrounding is refined once, and the searches that remain start
-  from the refined partition;
+* each surrounding is refined once, in Python or in one batch by the
+  row count, and the searches that remain start from the refined
+  partition;
 * out-of-range nodes, wrong class lists and non-simple maps raise the
   same ``GraphError`` on either side of the crossover.
 """
@@ -276,19 +278,27 @@ def test_each_surrounding_is_refined_once(monkeypatch):
     monkeypatch.setattr(surroundings, "digraph_refinement", refinement)
     monkeypatch.setattr(canonical, "_make_refiner", refiner)
     monkeypatch.setattr(surroundings, "refine_surroundings", batch)
-    for n in (BELOW, AT):
-        # Every class of a path is a discrete tie: no search is needed.
+    # No home sits at the middle of these paths, so every class is a
+    # singleton: n surroundings of n rows each.  Every tie is discrete,
+    # so no search is needed.
+    for n, homes, batched in (
+        (8, {0}, False),  # 64 rows
+        (9, {0}, True),  # 81 rows
+        (BELOW, {0, 30}, True),
+        (AT, {0, 30}, True),
+    ):
         net = path_graph(n)
-        colors = bicoloring(n, {0, 30})
+        colors = bicoloring(n, homes)
         classes = equivalence_classes(net, colors)
+        assert len(classes) == n
         del refinements[:], searches[:], batches[:]
         with uncached():
             order_equivalence_classes(net, classes, colors)
-        if n < DIGRAPH_KERNEL_MIN_NODES:
-            assert (refinements, batches) == ([n] * len(classes), [])
+        if batched:
+            assert (refinements, batches) == ([], [n]), n
         else:
-            assert (refinements, batches) == ([], [len(classes)])
-        assert searches == []
+            assert (refinements, batches) == ([n] * n, []), n
+        assert searches == [], n
 
 
 # ----------------------------------------------------------------------
@@ -338,9 +348,14 @@ def wrong_class_lists(n):
     ]
 
 
-@pytest.mark.parametrize("n", [BELOW, AT], ids=["below", "at"])
+# The wrong class lists of C8 make at most 6 · 8 rows, so the order
+# refines them in Python; those of C79 and C80 make thousands of rows, so
+# the order takes the batch on both.
+@pytest.mark.parametrize("n", [8, BELOW, AT], ids=["rows-below", "below", "at"])
 def test_wrong_class_lists_raise_the_same_graph_error(n):
     net, colors, cases = wrong_class_lists(n)
+    split = cases[0][0]
+    assert (n * len(split) < DIGRAPH_KERNEL_MIN_NODES) == (n == 8)
     for classes, message in cases:
         with uncached(), pytest.raises(GraphError) as excinfo:
             order_equivalence_classes(net, classes, colors)

@@ -1,5 +1,10 @@
 """The persistent SQLite store: round-trips, LRU, versioning, persistence."""
 
+import os
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ServeError
@@ -44,6 +49,57 @@ def test_lru_eviction_drops_oldest():
         assert store.get("op", "h1") is None
         assert store.get("op", "h0") is not None
         assert serve_metrics.STORE_EVICTIONS.total() == 1
+
+
+def test_eviction_reads_the_lru_index():
+    with CanonicalStore(":memory:", max_entries=2) as store:
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        for i in range(3):
+            store.put("op", f"h{i}", {"i": i})
+        store._conn.set_trace_callback(None)
+        (evict,) = [s for s in statements if s.startswith("DELETE")]
+        # Older Pythons trace the statement with its `?` unbound.
+        params = (1,) if "?" in evict else ()
+        plan = [
+            row[-1]
+            for row in store._conn.execute("EXPLAIN QUERY PLAN " + evict, params)
+        ]
+    assert any("entries_lru" in step for step in plan), plan
+    assert not any("TEMP B-TREE" in step for step in plan), plan
+
+
+def test_file_store_runs_the_write_ahead_log(tmp_path):
+    with CanonicalStore(str(tmp_path / "answers.db")) as store:
+        assert store._conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+    with CanonicalStore(":memory:") as store:
+        assert store._conn.execute("PRAGMA journal_mode").fetchone() == ("memory",)
+
+
+KILLED_AFTER_PUT = r"""
+import os, signal, sys
+from repro.serve.store import CanonicalStore
+
+store = CanonicalStore(sys.argv[1])
+store.put("feasibility", "abc", {"gcd": 2})
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_committed_answer_survives_a_killed_process(tmp_path):
+    path = str(tmp_path / "answers.db")
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_AFTER_PUT, path],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    with CanonicalStore(path) as store:
+        assert store.get("feasibility", "abc") == {"gcd": 2}
 
 
 def test_version_mismatch_is_refused_then_wipeable(tmp_path):
