@@ -52,7 +52,6 @@ from ..core.elect import ElectAgent
 from ..core.feasibility import elect_prediction
 from ..errors import AdversaryError, ReproError
 from ..obs import flight
-from ..obs.ledger import LedgerRow
 from ..fault.campaign import (
     DETECTED,
     IMPOSSIBLE,
@@ -275,8 +274,6 @@ class FuzzCampaignSpec(CampaignSpec):
         self._specs = scheduler_specs(
             -(-runs // len(self.instances)), seed=self.config.seed
         )
-        self._shape_cache: Dict[str, Tuple[Any, Any]] = {}
-        self._ledger_cache: Dict[str, Tuple[str, float]] = {}
         self.counter = OutcomeCounter()
         self.dedup = SignatureDedup(attr="signature", flag="distinct")
 
@@ -284,12 +281,9 @@ class FuzzCampaignSpec(CampaignSpec):
     def total(self) -> int:
         return self.runs
 
-    def _shape(self, label: str, inst: InstanceSpec) -> Tuple[Any, Any]:
-        shape = self._shape_cache.get(label)
-        if shape is None:
-            shape = inst.build()
-            self._shape_cache[label] = shape
-        return shape
+    def _shape(self, inst: InstanceSpec) -> Tuple[Any, Any]:
+        """``inst.build()``, once per label for the spec's lifetime."""
+        return self.memo(("shape", inst.label), inst.build)
 
     def task(
         self, index: int
@@ -299,7 +293,7 @@ class FuzzCampaignSpec(CampaignSpec):
         sched = self._specs[index // len(self.instances)]
         plan: Optional[FaultPlan] = None
         if cfg.fault_every and (index + 1) % cfg.fault_every == 0:
-            network, placement = self._shape(inst.label, inst)
+            network, placement = self._shape(inst)
             plan = random_fault_plans(
                 1,
                 num_agents=placement.num_agents,
@@ -321,42 +315,17 @@ class FuzzCampaignSpec(CampaignSpec):
             self.config.seed, index, inst.label, str(sched.get("kind"))
         )
 
-    def ledger_row(self, index: int, row: FuzzRow) -> LedgerRow:
-        from ..graphs.canonical import canonical_hash
-        from ..trace.invariants import THEOREM31_CONSTANT
+    def case_instance(self, index: int) -> Tuple[str, Any, Any]:
+        inst = self.instances[index % len(self.instances)]
+        return (inst.label, *self._shape(inst))
 
-        spec = row.spec
-        cached = self._ledger_cache.get(spec.label)
-        if cached is None:
-            network, placement = self._shape(spec.label, spec)
-            chash = canonical_hash(network, placement.bicoloring(network))
-            budget = (
-                THEOREM31_CONSTANT
-                * placement.num_agents
-                * max(1, network.num_edges)
-            )
-            cached = (chash, budget)
-            self._ledger_cache[spec.label] = cached
-        chash, budget = cached
-        kind = str(row.scheduler.get("kind"))
-        ctx = _case_context(self.config.seed, index, spec.label, kind)
-        return LedgerRow(
-            kind=self.kind,
-            campaign=self.campaign,
-            case_index=row.index,
-            instance=spec.label,
-            family=kind,
-            chash=chash,
-            seed=row.case_seed,
-            predicted="electable" if row.predicted else "impossible",
-            outcome=row.outcome,
-            detail=row.detail,
-            moves=row.moves,
-            budget=budget,
-            steps=row.steps,
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-        )
+    def ledger_columns(self, index: int, row: FuzzRow) -> Dict[str, Any]:
+        # The family column names the scheduler kind, the grid's other axis.
+        return {
+            "family": str(row.scheduler.get("kind")),
+            "seed": row.case_seed,
+            "detail": row.detail,
+        }
 
     def case_failed(self, row: FuzzRow) -> bool:
         return row.failed

@@ -34,7 +34,6 @@ from ..core.feasibility import elect_prediction
 from ..errors import ReproError
 from ..fault.campaign import DETECTED, ELECTED, IMPOSSIBLE
 from ..obs import flight
-from ..obs.ledger import LedgerRow
 from .instances import Instance, battery_by_name
 
 __all__ = [
@@ -56,6 +55,10 @@ class BatteryRow:
     detail: str = ""
     moves: int = 0
     steps: int = 0
+    #: The case seed (feeds the run ledger's ``seed`` column, deliberately
+    #: absent from :meth:`to_dict` so the spill's record shape stays
+    #: stable).
+    seed: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -92,6 +95,7 @@ def _evaluate_instance(task: Tuple[int, Instance, int]) -> BatteryRow:
         family=instance.family,
         predicted=predicted,
         outcome=DETECTED,
+        seed=case_seed,
     )
     try:
         outcome = run_elect(
@@ -151,7 +155,6 @@ class BatteryCampaignSpec(CampaignSpec):
         if not self.instances:
             raise ValueError(f"battery {battery!r} is empty")
         self.campaign = f"battery:{battery}:seed={seed}:reps={repetitions}"
-        self._chash_cache: Dict[str, Tuple[str, float]] = {}
         self.counter = OutcomeCounter()
 
     @property
@@ -169,43 +172,9 @@ class BatteryCampaignSpec(CampaignSpec):
         instance = self.instances[index % len(self.instances)]
         return _case_context(self.seed, index, instance.label)
 
-    def ledger_row(self, index: int, row: BatteryRow) -> LedgerRow:
-        from ..graphs.canonical import canonical_hash
-        from ..trace.invariants import THEOREM31_CONSTANT
-
+    def case_instance(self, index: int) -> Tuple[str, Any, Any]:
         instance = self.instances[index % len(self.instances)]
-        cached = self._chash_cache.get(instance.label)
-        if cached is None:
-            chash = canonical_hash(
-                instance.network,
-                instance.placement.bicoloring(instance.network),
-            )
-            budget = (
-                THEOREM31_CONSTANT
-                * instance.placement.num_agents
-                * max(1, instance.network.num_edges)
-            )
-            cached = (chash, budget)
-            self._chash_cache[instance.label] = cached
-        chash, budget = cached
-        ctx = _case_context(self.seed, index, instance.label)
-        return LedgerRow(
-            kind=self.kind,
-            campaign=self.campaign,
-            case_index=row.index,
-            instance=row.instance,
-            family=row.family,
-            chash=chash,
-            seed=_case_seed(self.seed, index, instance.label),
-            predicted="electable" if row.predicted else "impossible",
-            outcome=row.outcome,
-            detail=row.detail,
-            moves=row.moves,
-            budget=budget,
-            steps=row.steps,
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-        )
+        return instance.label, instance.network, instance.placement
 
     def case_failed(self, row: BatteryRow) -> bool:
         # Strict: the batteries run fault-free, so anything short of the

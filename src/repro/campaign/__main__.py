@@ -19,8 +19,8 @@ Usage::
 
 Exit codes: 0 — sweep ok; 1 — sweep completed with failing cases
 (silent wrong answers, schedule failures, audit failures); 2 — campaign
-misconfiguration (bad shard spec, checkpoint/fingerprint mismatch,
-re-run without ``--resume``).
+misconfiguration (bad shard spec, a grid size below 1, an unknown
+battery, checkpoint/fingerprint mismatch, re-run without ``--resume``).
 """
 
 from __future__ import annotations
@@ -95,7 +95,12 @@ def _build_spec(args: argparse.Namespace) -> CampaignSpec:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
+    try:
+        spec = _build_spec(args)
+    except ValueError as exc:
+        # A frontend refusing its arguments (an unknown battery, zero
+        # repetitions) is a misconfiguration, not a failing sweep.
+        raise CampaignError(str(exc)) from exc
     engine = CampaignEngine(
         spec,
         ledger=args.ledger,
@@ -223,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--quick",
         action="store_true",
-        help="trimmed instance battery (fault/fuzz frontends)",
+        help="trimmed instance battery (fault, fuzz and byzantine frontends)",
     )
     run.add_argument(
         "--json", action="store_true", help="machine-readable result"

@@ -237,11 +237,23 @@ class CampaignSpec:
     * ``task(index)`` — the picklable task tuple for one case.
     * ``evaluate`` — a **module-level** picklable callable mapping a task
       to a classified result object (runs inside pool workers).
-    * ``ledger_row(index, result)`` — the persistent projection of one
-      result (coordinator-side; every column except ``wall_ms`` must be
-      deterministic in the config so digests are reproducible).
+    * ``context(index)`` — the case's deterministic trace context; the
+      ledger row takes its trace and span ids from it.
+    * ``case_instance(index)`` — the case's ``(label, network,
+      placement)``.  That is all a frontend supplies for its ledger rows:
+      :meth:`ledger_row` projects the rest from the result's ``predicted``,
+      ``outcome``, ``moves`` and ``steps`` fields, and from
+      :meth:`ledger_columns` (by default the result's own ``family``,
+      ``seed`` and ``detail``; a frontend whose columns differ overrides
+      it).  Every column except ``wall_ms`` is deterministic in the
+      config, so digests are reproducible.
     * ``stages()`` — the in-order observers; build them in ``__init__``
       and keep references if ``summarize`` reads them afterwards.
+
+    :meth:`memo` is the spec's one per-instance cache: the ledger keeps
+    each instance's canonical hash and Theorem 3.1 budget there, and
+    frontends keep what they derive per instance (plan lists, built
+    shapes), so a shard pays only for the instances it owns.
     """
 
     #: Ledger ``kind`` column and checkpoint namespace.
@@ -269,8 +281,60 @@ class CampaignSpec:
         """Deterministic per-case trace context (None: no flight spans)."""
         return None
 
-    def ledger_row(self, index: int, result: Any) -> Optional[LedgerRow]:
-        return None
+    def case_instance(self, index: int) -> Tuple[str, Any, Any]:
+        """``(label, network, placement)`` of case ``index``."""
+        raise NotImplementedError
+
+    def memo(self, key: Tuple[Any, ...], build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per ``key`` for this spec's lifetime.
+
+        Keys are tuples whose first item names the kind of value
+        (``("ledger", label)``, ``("plans", j)``, ...).
+        """
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def ledger_columns(self, index: int, result: Any) -> Dict[str, Any]:
+        """The ``family``, ``seed`` and ``detail`` columns of a row."""
+        return {
+            "family": result.family,
+            "seed": result.seed,
+            "detail": result.detail,
+        }
+
+    def ledger_row(self, index: int, result: Any) -> LedgerRow:
+        """The persistent projection of one result (coordinator-side)."""
+        from ..graphs.canonical import canonical_hash
+        from ..trace.invariants import THEOREM31_CONSTANT
+
+        label, network, placement = self.case_instance(index)
+        chash, budget = self.memo(
+            ("ledger", label),
+            lambda: (
+                canonical_hash(network, placement.bicoloring(network)),
+                THEOREM31_CONSTANT
+                * placement.num_agents
+                * max(1, network.num_edges),
+            ),
+        )
+        ctx = self.context(index)
+        return LedgerRow(
+            kind=self.kind,
+            campaign=self.campaign,
+            case_index=index,
+            instance=label,
+            chash=chash,
+            predicted="electable" if result.predicted else "impossible",
+            outcome=result.outcome,
+            moves=result.moves,
+            budget=budget,
+            steps=result.steps,
+            trace_id=ctx.trace_id if ctx is not None else "",
+            span_id=ctx.span_id if ctx is not None else "",
+            **self.ledger_columns(index, result),
+        )
 
     def spill_record(self, index: int, result: Any) -> Optional[Dict[str, Any]]:
         """JSONL spill projection of one result (None: skip the case)."""
@@ -545,11 +609,8 @@ class CampaignEngine:
             if self.spill is not None:
                 spill_fh = open(self.spill, "a", encoding="utf-8")
             for chunk in self._chunks(positions, start_pos):
-                results = self._evaluate_chunk(runner, chunk)
-                chunk_wall = getattr(self, "_last_chunk_wall", 0.0)
-                wall_each = (
-                    round(chunk_wall / len(chunk) * 1000.0, 3) if chunk else 0.0
-                )
+                results, chunk_wall = self._evaluate_chunk(runner, chunk)
+                wall_each = round(chunk_wall / len(chunk) * 1000.0, 3)
                 rows: List[LedgerRow] = []
                 for index, result in zip(chunk, results):
                     for stage in stages:
@@ -560,9 +621,8 @@ class CampaignEngine:
                             failures.append(result)
                     if led is not None:
                         row = spec.ledger_row(index, result)
-                        if row is not None:
-                            row.wall_ms = wall_each
-                            rows.append(row)
+                        row.wall_ms = wall_each
+                        rows.append(row)
                     if spill_fh is not None:
                         record = spec.spill_record(index, result)
                         if record is not None:
@@ -690,7 +750,10 @@ class CampaignEngine:
         for start in range(0, len(remaining), self.checkpoint_every):
             yield list(remaining[start : start + self.checkpoint_every])
 
-    def _evaluate_chunk(self, runner: Any, chunk: List[int]) -> List[Any]:
+    def _evaluate_chunk(
+        self, runner: Any, chunk: List[int]
+    ) -> Tuple[List[Any], float]:
+        """The chunk's results, in order, and its wall time in seconds."""
         spec = self.spec
         tasks = [spec.task(index) for index in chunk]
         started = time.perf_counter()
@@ -700,11 +763,9 @@ class CampaignEngine:
                 results = flight.map_with_flight(
                     runner, spec.evaluate, tasks, spec.span_name, contexts
                 )
-                self._last_chunk_wall = time.perf_counter() - started
-                return results
+                return results, time.perf_counter() - started
         results = runner.map(spec.evaluate, tasks)
-        self._last_chunk_wall = time.perf_counter() - started
-        return results
+        return results, time.perf_counter() - started
 
 
 def read_spill(path: str) -> List[Dict[str, Any]]:

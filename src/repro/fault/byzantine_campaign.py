@@ -43,16 +43,10 @@ from ..campaign.engine import (
     Stage,
     Tally,
 )
-from ..core.elect import ElectAgent
-from ..core.feasibility import elect_prediction
 from ..core.result import aggregate
-from ..errors import CheatDetected, ProtocolError, ReproError
+from ..errors import CampaignError, CheatDetected, ProtocolError, ReproError
 from ..obs import flight
-from ..obs.ledger import LedgerRow
 from ..sim.runtime import Simulation
-from ..sim.scheduler import RandomScheduler
-from ..trace.invariants import THEOREM31_CONSTANT, audit_trace
-from ..trace.sinks import MemorySink
 from .byzantine import ByzantineAgent, EdgeChurn
 from .campaign import (
     DETECTED,
@@ -63,8 +57,10 @@ from .campaign import (
     CampaignConfig,
     CampaignRow,
     _classify_completion,
+    _finish_pair,
     _pair_context,
     _pair_seed,
+    _start_pair,
     standard_battery,
 )
 from .detect import CheatDetector
@@ -141,48 +137,22 @@ def _evaluate_byz_pair(
     """Run and classify one pair under cheat detection.  Module-level:
     pickled to pool workers, like :func:`~repro.fault.campaign._evaluate_pair`.
 
-    The seeds, scheduler, agents and watchdog are built *identically* to
-    the crash-only evaluator — the detector is the only addition, and its
-    sweeps are passive — so a plan with no Byzantine specs classifies
+    The run is built and its evidence filled by the same helpers as the
+    crash-only evaluator's; the detector is the only addition, and its
+    sweeps are passive, so a plan with no Byzantine specs classifies
     exactly as the fault campaign would (the power-0 equivalence
     property).
     """
-    index, instance, plan, cfg = task
-    pair_seed = _pair_seed(cfg.seed, index, plan.name)
-    predicted = elect_prediction(instance.network, instance.placement).succeeds
+    _, _, plan, cfg = task
     power, summed_power, churn = _plan_adversary(plan)
-
-    colors = instance.placement.fresh_colors()
-    agents = [
-        ElectAgent(color, rng=random.Random(f"{pair_seed}:{i}"))
-        for i, color in enumerate(colors)
-    ]
-    sink = MemorySink()
-    sim = Simulation(
-        instance.network,
-        list(zip(agents, instance.placement.homes)),
-        scheduler=RandomScheduler(seed=pair_seed),
-        trace=sink,
-        fault=plan,
-        watchdog=cfg.watchdog(pair_seed),
-        max_steps=cfg.max_steps,
+    sim, sink, row = _start_pair(
+        task, ByzantineRow, power=power, scenario=_plan_scenario(plan)
     )
     detector = CheatDetector(
         strictness=getattr(cfg, "strictness", 2),
         abort=getattr(cfg, "abort", False),
         check_every=getattr(cfg, "check_every", 25),
     ).install(sim)
-
-    row = ByzantineRow(
-        index=index,
-        instance=instance.label,
-        family=instance.family,
-        plan=plan.describe(),
-        predicted=predicted,
-        outcome=DETECTED,
-        power=power,
-        scenario=_plan_scenario(plan),
-    )
     result = None
     try:
         result = sim.run()
@@ -198,56 +168,30 @@ def _evaluate_byz_pair(
         # protocol error tripped by lies/churn (e.g. a vanished port).
         row.detail = f"{type(exc).__name__}: {exc}"
         result = None
-
-    injections = (
-        sim.fault_state.log.kinds() if sim.fault_state is not None else ()
-    )
-    row.injections = injections
+    # Restarts redo work and lies/churn add writes and detours; scale the
+    # Theorem 3.1 gauge by both budgets so the audit still flags runaway
+    # move counts without flagging recovery.
+    scale = (1 + cfg.max_restarts) * (1 + summed_power + (1 if churn else 0))
+    _finish_pair(sim, sink, row, result, cfg, scale)
     row.findings = len(detector.findings)
     byz_fired = any(
         kind.startswith("byzantine-") or kind.startswith("churn-")
-        for kind in injections
+        for kind in row.injections
     )
-
-    if result is not None:
-        row.steps = result.steps
-        row.moves = result.total_moves
-        row.restarts = sum(result.restarts)
-        row.stalls = len(result.stall_events)
-        if not byz_fired:
-            # No lie, no churn: exactly the crash-only classification.
-            row.outcome, row.detail = _classify_completion(
-                sim, result, predicted
-            )
-        else:
-            row.outcome, row.detail = _classify_byzantine(
-                sim, result, predicted, detector
-            )
-        if cfg.audit and sink.header is not None:
-            # Restarts redo work and lies/churn add writes and detours;
-            # scale the Theorem 3.1 gauge by both budgets so the audit
-            # still flags runaway move counts without flagging recovery.
-            scale = (1 + cfg.max_restarts) * (
-                1 + summed_power + (1 if churn else 0)
-            )
-            reports = audit_trace(
-                sink.events,
-                header=sink.header,
-                moves=result.moves,
-                accesses=result.accesses,
-                steps=result.steps,
-                theorem31_constant=THEOREM31_CONSTANT * scale,
-            )
-            row.audit_failures = tuple(
-                f"{rep.name}: {rep.detail}" for rep in reports if not rep.ok
-            )
-    else:
-        row.stalls = len(sim.watchdog.stall_events) if sim.watchdog else 0
-        row.restarts = sim.watchdog.total_restarts if sim.watchdog else 0
+    if result is None:
         if byz_fired and row.outcome == DETECTED:
             # A loud failure in a lying run is still a detection — the
             # Byzantine vocabulary just names the bucket precisely.
             row.outcome = DETECTED_CHEAT
+    elif byz_fired:
+        row.outcome, row.detail = _classify_byzantine(
+            sim, result, row.predicted, detector
+        )
+    else:
+        # No lie, no churn: exactly the crash-only classification.
+        row.outcome, row.detail = _classify_completion(
+            sim, result, row.predicted
+        )
     return row
 
 
@@ -346,6 +290,10 @@ class ByzantineCampaignSpec(CampaignSpec):
         config: Optional[ByzantineConfig] = None,
         quick: bool = False,
     ):
+        if cases < 1:
+            raise CampaignError(
+                f"byzantine campaign needs cases >= 1, got {cases}"
+            )
         self.config = config or ByzantineConfig()
         if instances is None:
             instances = standard_battery(quick=quick)
@@ -361,9 +309,7 @@ class ByzantineCampaignSpec(CampaignSpec):
             f":powers={','.join(map(str, self.powers))}"
         )
         cells = len(self.instances) * len(self.powers) * len(SCENARIOS)
-        self._slots = max(1, -(-cases // cells))
-        self._plan_cache: Dict[int, List[FaultPlan]] = {}
-        self._chash_cache: Dict[str, Tuple[str, int]] = {}
+        self._slots = -(-cases // cells)
         self.counter = OutcomeCounter()
         self.power_rates = PowerRateStage()
         self.audit_counter = Tally(
@@ -375,18 +321,17 @@ class ByzantineCampaignSpec(CampaignSpec):
         return self.cases
 
     def _base_plans(self, j: int) -> List[FaultPlan]:
-        plans = self._plan_cache.get(j)
-        if plans is None:
-            inst = self.instances[j]
-            plans = random_fault_plans(
+        inst = self.instances[j]
+        return self.memo(
+            ("plans", j),
+            lambda: random_fault_plans(
                 self._slots,
                 num_agents=inst.placement.num_agents,
                 num_nodes=inst.network.num_nodes,
                 seed=_pair_seed(self.config.seed, j, inst.label),
                 kinds=("crash-at-step", "crash-on-action"),
-            )
-            self._plan_cache[j] = plans
-        return plans
+            ),
+        )
 
     def _coords(self, index: int) -> Tuple[int, int, int, int]:
         """``(instance j, power index, scenario index, plan slot)``."""
@@ -442,41 +387,14 @@ class ByzantineCampaignSpec(CampaignSpec):
         plan = self._plan(index)
         return _pair_context(self.config.seed, index, plan.name)
 
-    def ledger_row(self, index: int, row: ByzantineRow) -> LedgerRow:
-        from ..graphs.canonical import canonical_hash
+    def case_instance(self, index: int) -> Tuple[str, Any, Any]:
+        inst = self.instances[index % len(self.instances)]
+        return inst.label, inst.network, inst.placement
 
-        _, inst, plan, cfg = self.task(index)
-        cached = self._chash_cache.get(inst.label)
-        if cached is None:
-            chash = canonical_hash(
-                inst.network, inst.placement.bicoloring(inst.network)
-            )
-            budget = (
-                THEOREM31_CONSTANT
-                * inst.placement.num_agents
-                * max(1, inst.network.num_edges)
-            )
-            cached = (chash, budget)
-            self._chash_cache[inst.label] = cached
-        chash, budget = cached
-        ctx = _pair_context(cfg.seed, index, plan.name)
-        return LedgerRow(
-            kind=self.kind,
-            campaign=self.campaign,
-            case_index=row.index,
-            instance=row.instance,
-            family=row.family,
-            chash=chash,
-            seed=_pair_seed(cfg.seed, index, plan.name),
-            predicted="electable" if row.predicted else "impossible",
-            outcome=row.outcome,
-            detail=f"[p{row.power}:{row.scenario}] {row.detail}",
-            moves=row.moves,
-            budget=budget,
-            steps=row.steps,
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-        )
+    def ledger_columns(self, index: int, row: ByzantineRow) -> Dict[str, Any]:
+        columns = super().ledger_columns(index, row)
+        columns["detail"] = f"[p{row.power}:{row.scenario}] {row.detail}"
+        return columns
 
     def case_failed(self, row: ByzantineRow) -> bool:
         # A silently-fooled case fails at any power: the measured rate is

@@ -52,9 +52,8 @@ from ..campaign.engine import (
 from ..core.elect import ElectAgent
 from ..core.feasibility import elect_prediction
 from ..core.result import aggregate
-from ..errors import ProtocolError, ReproError
+from ..errors import CampaignError, ProtocolError, ReproError
 from ..obs import flight
-from ..obs.ledger import LedgerRow
 from ..sim.runtime import Simulation
 from ..sim.scheduler import RandomScheduler
 from ..trace.invariants import THEOREM31_CONSTANT, audit_trace
@@ -124,6 +123,10 @@ class CampaignRow:
     stalls: int = 0
     injections: Tuple[str, ...] = ()
     audit_failures: Tuple[str, ...] = ()
+    #: The pair seed (feeds the run ledger's ``seed`` column, deliberately
+    #: absent from :meth:`to_dict` so the spill's record shape stays
+    #: stable).
+    seed: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -220,16 +223,23 @@ def _classify_completion(
     )
 
 
-def _evaluate_pair(task: Tuple[int, Any, FaultPlan, CampaignConfig]) -> CampaignRow:
-    """Run and classify one pair.  Module-level: pickled to pool workers."""
+def _start_pair(
+    task: Tuple[int, Any, FaultPlan, CampaignConfig],
+    row_type: type = CampaignRow,
+    **fields: Any,
+) -> Tuple[Simulation, MemorySink, CampaignRow]:
+    """One pair's supervised run, not yet started, and its unclassified row.
+
+    Both pair evaluators build here, so a plan with no Byzantine specs
+    gets the same seeds, agents, scheduler and watchdog under either.
+    ``fields`` are the extra columns of ``row_type``.
+    """
     index, instance, plan, cfg = task
     pair_seed = _pair_seed(cfg.seed, index, plan.name)
     predicted = elect_prediction(instance.network, instance.placement).succeeds
-
-    colors = instance.placement.fresh_colors()
     agents = [
         ElectAgent(color, rng=random.Random(f"{pair_seed}:{i}"))
-        for i, color in enumerate(colors)
+        for i, color in enumerate(instance.placement.fresh_colors())
     ]
     sink = MemorySink()
     sim = Simulation(
@@ -241,15 +251,63 @@ def _evaluate_pair(task: Tuple[int, Any, FaultPlan, CampaignConfig]) -> Campaign
         watchdog=cfg.watchdog(pair_seed),
         max_steps=cfg.max_steps,
     )
-
-    row = CampaignRow(
+    row = row_type(
         index=index,
         instance=instance.label,
         family=instance.family,
         plan=plan.describe(),
         predicted=predicted,
         outcome=DETECTED,
+        seed=pair_seed,
+        **fields,
     )
+    return sim, sink, row
+
+
+def _finish_pair(
+    sim: Simulation,
+    sink: MemorySink,
+    row: CampaignRow,
+    result: Any,
+    cfg: CampaignConfig,
+    scale: int,
+) -> None:
+    """Fill ``row``'s run evidence.
+
+    A completed run gives its counters and, with ``cfg.audit``, the trace
+    audit's failures against ``scale`` times the Theorem 3.1 constant.
+    After a loud failure (``result`` is None) the watchdog's journal is
+    salvaged instead.  Either way the row gets the fault journal's
+    injections.
+    """
+    if result is not None:
+        row.steps = result.steps
+        row.moves = result.total_moves
+        row.restarts = sum(result.restarts)
+        row.stalls = len(result.stall_events)
+        if cfg.audit and sink.header is not None:
+            reports = audit_trace(
+                sink.events,
+                header=sink.header,
+                moves=result.moves,
+                accesses=result.accesses,
+                steps=result.steps,
+                theorem31_constant=THEOREM31_CONSTANT * scale,
+            )
+            row.audit_failures = tuple(
+                f"{rep.name}: {rep.detail}" for rep in reports if not rep.ok
+            )
+    elif sim.watchdog is not None:
+        row.stalls = len(sim.watchdog.stall_events)
+        row.restarts = sim.watchdog.total_restarts
+    if sim.fault_state is not None:
+        row.injections = sim.fault_state.log.kinds()
+
+
+def _evaluate_pair(task: Tuple[int, Any, FaultPlan, CampaignConfig]) -> CampaignRow:
+    """Run and classify one pair.  Module-level: pickled to pool workers."""
+    _, _, _, cfg = task
+    sim, sink, row = _start_pair(task)
     result = None
     try:
         result = sim.run()
@@ -260,33 +318,11 @@ def _evaluate_pair(task: Tuple[int, Any, FaultPlan, CampaignConfig]) -> Campaign
         # dropped DFS sign making a drawn map self-contradictory).
         row.detail = f"{type(exc).__name__}: {exc}"
     else:
-        row.outcome, row.detail = _classify_completion(sim, result, predicted)
-        row.steps = result.steps
-        row.moves = result.total_moves
-        row.restarts = sum(result.restarts)
-        row.stalls = len(result.stall_events)
-        if cfg.audit and sink.header is not None:
-            # Restarted agents redo work from their checkpoint, so the
-            # Theorem 3.1 gauge is scaled by the restart budget: recovered
-            # moves still count against (a scaled) C·r·|E|.
-            reports = audit_trace(
-                sink.events,
-                header=sink.header,
-                moves=result.moves,
-                accesses=result.accesses,
-                steps=result.steps,
-                theorem31_constant=THEOREM31_CONSTANT
-                * (1 + cfg.max_restarts),
-            )
-            row.audit_failures = tuple(
-                f"{rep.name}: {rep.detail}" for rep in reports if not rep.ok
-            )
-    if result is None:
-        # Loud failure: salvage the watchdog's journal for the row.
-        row.stalls = len(sim.watchdog.stall_events) if sim.watchdog else 0
-        row.restarts = sim.watchdog.total_restarts if sim.watchdog else 0
-    if sim.fault_state is not None:
-        row.injections = sim.fault_state.log.kinds()
+        row.outcome, row.detail = _classify_completion(sim, result, row.predicted)
+    # Restarted agents redo work from their checkpoint, so the Theorem 3.1
+    # gauge is scaled by the restart budget: recovered moves still count
+    # against (a scaled) C·r·|E|.
+    _finish_pair(sim, sink, row, result, cfg, 1 + cfg.max_restarts)
     return row
 
 
@@ -315,9 +351,10 @@ class FaultCampaignSpec(CampaignSpec):
     the instance's position), so every instance sees every fault family.
     The matrix is plan-major, so trimming it to ``pairs`` keeps battery
     breadth: index ``i`` denotes plan slot ``i // n_instances`` of
-    instance ``i % n_instances``.  Per-instance plan lists (and canonical
-    hashes) are generated on first touch and cached, so a shard only pays
-    for the instances it actually owns.
+    instance ``i % n_instances``.  Per-instance plan lists are generated
+    on first touch and kept in the spec's
+    :meth:`~repro.campaign.CampaignSpec.memo`, so a shard only pays for
+    the instances it actually owns.
     """
 
     kind = "fault"
@@ -331,6 +368,8 @@ class FaultCampaignSpec(CampaignSpec):
         config: Optional[CampaignConfig] = None,
         quick: bool = False,
     ):
+        if pairs < 1:
+            raise CampaignError(f"fault campaign needs pairs >= 1, got {pairs}")
         self.config = config or CampaignConfig()
         if instances is None:
             instances = standard_battery(quick=quick)
@@ -339,9 +378,7 @@ class FaultCampaignSpec(CampaignSpec):
             raise ValueError("campaign needs at least one instance")
         self.pairs = pairs
         self.campaign = f"fault:seed={self.config.seed}:pairs={pairs}"
-        self._plans_per = max(1, -(-pairs // len(self.instances)))
-        self._plan_cache: Dict[int, List[FaultPlan]] = {}
-        self._chash_cache: Dict[str, Tuple[str, int]] = {}
+        self._plans_per = -(-pairs // len(self.instances))
         # Stages are attributes so ``summarize`` can read them.
         self.counter = OutcomeCounter()
         self.audit_counter = Tally(
@@ -355,18 +392,17 @@ class FaultCampaignSpec(CampaignSpec):
         return self.pairs
 
     def _plans(self, j: int) -> List[FaultPlan]:
-        plans = self._plan_cache.get(j)
-        if plans is None:
-            inst = self.instances[j]
-            plans = random_fault_plans(
+        inst = self.instances[j]
+        return self.memo(
+            ("plans", j),
+            lambda: random_fault_plans(
                 self._plans_per,
                 num_agents=inst.placement.num_agents,
                 num_nodes=inst.network.num_nodes,
                 seed=_pair_seed(self.config.seed, j, inst.label),
                 byzantine=self.config.byzantine,
-            )
-            self._plan_cache[j] = plans
-        return plans
+            ),
+        )
 
     def task(self, index: int) -> Tuple[int, Any, FaultPlan, CampaignConfig]:
         slot, j = divmod(index, len(self.instances))
@@ -387,41 +423,9 @@ class FaultCampaignSpec(CampaignSpec):
         _, _inst, plan, _cfg = self.task(index)
         return _pair_context(self.config.seed, index, plan.name)
 
-    def ledger_row(self, index: int, row: CampaignRow) -> LedgerRow:
-        from ..graphs.canonical import canonical_hash
-
-        _, inst, plan, cfg = self.task(index)
-        cached = self._chash_cache.get(inst.label)
-        if cached is None:
-            chash = canonical_hash(
-                inst.network, inst.placement.bicoloring(inst.network)
-            )
-            budget = (
-                THEOREM31_CONSTANT
-                * inst.placement.num_agents
-                * max(1, inst.network.num_edges)
-            )
-            cached = (chash, budget)
-            self._chash_cache[inst.label] = cached
-        chash, budget = cached
-        ctx = _pair_context(cfg.seed, index, plan.name)
-        return LedgerRow(
-            kind=self.kind,
-            campaign=self.campaign,
-            case_index=row.index,
-            instance=row.instance,
-            family=row.family,
-            chash=chash,
-            seed=_pair_seed(cfg.seed, index, plan.name),
-            predicted="electable" if row.predicted else "impossible",
-            outcome=row.outcome,
-            detail=row.detail,
-            moves=row.moves,
-            budget=budget,
-            steps=row.steps,
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-        )
+    def case_instance(self, index: int) -> Tuple[str, Any, Any]:
+        inst = self.instances[index % len(self.instances)]
+        return inst.label, inst.network, inst.placement
 
     def case_failed(self, row: CampaignRow) -> bool:
         return (

@@ -168,21 +168,18 @@ def _build_adjacency(network: AnonymousNetwork) -> List[List[AdjacencyEntry]]:
 def view_refinement_baseline(
     network: AnonymousNetwork,
     node_colors: Optional[NodeColoring] = None,
-    max_rounds: Optional[int] = None,
 ) -> List[int]:
     """The seed all-nodes-every-round refinement, kept as the reference.
 
     Runs partition refinement to fixpoint (at most ``n - 1`` rounds by
-    Norris's theorem; ``max_rounds`` can truncate earlier to obtain the
-    depth-``max_rounds`` view classes).  Quadratic on long-diameter
-    instances; retained as the parity oracle and benchmark baseline —
-    production callers go through :func:`view_refinement`.
+    Norris's theorem).  Quadratic on long-diameter instances; retained as
+    the parity oracle and benchmark baseline — production callers go
+    through :func:`view_refinement`.
     """
     n = network.num_nodes
     sym = symbol_index(network)
     classes = _normalize_colors(network, node_colors)
-    rounds = (n - 1) if max_rounds is None else max_rounds
-    for _ in range(max(rounds, 0)):
+    for _ in range(n - 1):
         signatures: List[Tuple] = []
         for x in network.nodes():
             triples = []

@@ -330,3 +330,42 @@ class TestSpill:
         records = read_spill(spill)
         assert [r["case_index"] for r in records] == list(range(8))
         assert all(json.dumps(r) for r in records)
+
+
+def _frontend_specs():
+    from repro.adversary.fuzz import FuzzCampaignSpec
+    from repro.analysis.campaign import BatteryCampaignSpec
+    from repro.fault.byzantine_campaign import ByzantineCampaignSpec
+    from repro.fault.campaign import FaultCampaignSpec
+
+    return {
+        "fault": lambda: FaultCampaignSpec(pairs=24, quick=True),
+        "byzantine": lambda: ByzantineCampaignSpec(cases=32, quick=True),
+        "fuzz": lambda: FuzzCampaignSpec(runs=30, quick=True),
+        "battery": lambda: BatteryCampaignSpec(repetitions=2),
+    }
+
+
+class TestLedgerProjection:
+    @pytest.mark.parametrize("frontend", sorted(_frontend_specs()))
+    def test_each_instance_is_hashed_once(
+        self, frontend, tmp_path, monkeypatch
+    ):
+        """The spec's memo keeps every instance's canonical hash and
+        budget, so a sweep hashes each instance once, not once a row."""
+        from repro.graphs import canonical
+
+        hashed = []
+        real = canonical.canonical_hash
+
+        def counting(network, colors):
+            hashed.append(1)
+            return real(network, colors)
+
+        monkeypatch.setattr(canonical, "canonical_hash", counting)
+        spec = _frontend_specs()[frontend]()
+        run = CampaignEngine(
+            spec, ledger=str(tmp_path / "l.db"), checkpoint_every=8
+        ).run()
+        labels = {spec.case_instance(i)[0] for i in range(spec.total)}
+        assert len(hashed) == len(labels) < run.ledger_rows == spec.total

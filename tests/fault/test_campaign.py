@@ -206,3 +206,26 @@ class TestCli:
         campaign_out = capsys.readouterr().out
         assert body(fault_out) == body(campaign_out)
         assert "  restarts=9  stalls=9  audit-failures=0" in fault_out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "battery", "--reps", "0"],
+            ["run", "battery", "--battery", "nosuch"],
+            ["run", "fault", "--pairs", "-3"],
+            ["run", "byzantine", "--cases", "0"],
+            ["--pairs", "-3"],
+        ],
+    )
+    def test_misconfiguration_exits_2(self, argv, tmp_path, capsys):
+        """A frontend that refuses its arguments is a misconfiguration
+        (exit 2), not a traceback (exit 1) nor an empty green sweep."""
+        from repro.campaign.__main__ import main as campaign_main
+        from repro.fault.__main__ import main as fault_main
+
+        if argv[0] == "run":
+            code = campaign_main(argv + ["--ledger", str(tmp_path / "x.db")])
+        else:
+            code = fault_main(argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
