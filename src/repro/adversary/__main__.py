@@ -22,6 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from ..errors import AdversaryError, CampaignError
+from ..perf.parallel import worker_count
 from .artifact import Reproducer
 from .fuzz import FuzzConfig, FuzzRow, run_fuzz
 from .minimize import minimize_row, replay_reproducer
@@ -146,7 +147,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     fuzz = sub.add_parser("fuzz", help="sweep the interleaving grid")
     fuzz.add_argument("--runs", type=int, default=200)
     fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--workers", type=int, default=1)
+    fuzz.add_argument("--workers", type=worker_count, default=1)
     fuzz.add_argument(
         "--quick", action="store_true", help="small instance slice"
     )

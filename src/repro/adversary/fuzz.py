@@ -62,7 +62,6 @@ from ..fault.plan import FaultPlan, random_fault_plans
 from ..fault.watchdog import DEFAULT_BACKOFF, Watchdog
 from ..sim.runtime import Simulation
 from ..sim.scheduler import RecordingScheduler
-from ..trace.sinks import MemorySink
 from .metrics import count_run, count_schedule
 from .specs import InstanceSpec, build_scheduler, scheduler_specs, table1_battery
 
@@ -197,12 +196,10 @@ def _evaluate_case(
         for i, color in enumerate(colors)
     ]
     recorder = RecordingScheduler(build_scheduler(sched_spec))
-    sink = MemorySink()
     sim = Simulation(
         network,
         list(zip(agents, placement.homes)),
         scheduler=recorder,
-        trace=sink,
         fault=plan,
         watchdog=cfg.watchdog(case_seed) if plan is not None else None,
         max_steps=cfg.max_steps,

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List
 
 from ..obs.registry import collect_snapshot
 from ..perf import ParallelBatteryRunner, cache_stats
+from ..perf.parallel import worker_count
 from .complexity import complexity_sweep, max_ratio, ratio_table
 from .instances import (
     cayley_effectualness_instances,
@@ -206,7 +207,7 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--quick", action="store_true", help="trim batteries")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=worker_count,
         default=1,
         help="process-pool size for the instance batteries (1 = serial; "
         "results are identical for any value)",

@@ -32,6 +32,7 @@ from typing import Any, List, Optional
 
 from ..errors import CampaignError, ReproError
 from ..obs.ledger import RunLedger
+from ..perf.parallel import worker_count
 from .engine import CampaignEngine, CampaignSpec
 
 #: The frontends ``run`` can drive, by name.
@@ -193,7 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=0, help="campaign seed")
     run.add_argument(
-        "--workers", type=int, default=1, help="parallel worker processes"
+        "--workers",
+        type=worker_count,
+        default=1,
+        help="parallel worker processes",
     )
     run.add_argument(
         "--shard",

@@ -15,6 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from ..errors import CampaignError
+from ..perf.parallel import worker_count
 from .campaign import CampaignConfig, run_campaign
 
 
@@ -40,7 +41,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=worker_count,
         default=1,
         help="parallel worker processes (default: 1 = serial)",
     )

@@ -172,7 +172,7 @@ def _evaluate_byz_pair(
     # Theorem 3.1 gauge by both budgets so the audit still flags runaway
     # move counts without flagging recovery.
     scale = (1 + cfg.max_restarts) * (1 + summed_power + (1 if churn else 0))
-    _finish_pair(sim, sink, row, result, cfg, scale)
+    _finish_pair(sim, sink, row, result, scale)
     row.findings = len(detector.findings)
     byz_fired = any(
         kind.startswith("byzantine-") or kind.startswith("churn-")
@@ -343,13 +343,20 @@ class ByzantineCampaignSpec(CampaignSpec):
         slot = rest // len(SCENARIOS)
         return j, p_i, s_i, slot
 
+    def _plan_name(self, index: int) -> str:
+        """Case ``index``'s plan name, from its coordinates alone (the
+        trace context needs only this, not the plan)."""
+        j, p_i, s_i, slot = self._coords(index)
+        base = self._base_plans(j)[slot]
+        return f"byz:{SCENARIOS[s_i][0]}:p{self.powers[p_i]}:{base.name}"
+
     def _plan(self, index: int) -> FaultPlan:
         j, p_i, s_i, slot = self._coords(index)
         inst = self.instances[j]
         base = self._base_plans(j)[slot]
         power = self.powers[p_i]
-        scenario, behaviors, churn = SCENARIOS[s_i]
-        name = f"byz:{scenario}:p{power}:{base.name}"
+        _, behaviors, churn = SCENARIOS[s_i]
+        name = self._plan_name(index)
         if power == 0:
             return FaultPlan(faults=base.faults, name=name)
         srng = random.Random(f"{_pair_seed(self.config.seed, index, name)}:byz")
@@ -384,8 +391,7 @@ class ByzantineCampaignSpec(CampaignSpec):
         return _evaluate_byz_pair
 
     def context(self, index: int) -> "flight.TraceContext":
-        plan = self._plan(index)
-        return _pair_context(self.config.seed, index, plan.name)
+        return _pair_context(self.config.seed, index, self._plan_name(index))
 
     def case_instance(self, index: int) -> Tuple[str, Any, Any]:
         inst = self.instances[index % len(self.instances)]

@@ -227,11 +227,13 @@ def _start_pair(
     task: Tuple[int, Any, FaultPlan, CampaignConfig],
     row_type: type = CampaignRow,
     **fields: Any,
-) -> Tuple[Simulation, MemorySink, CampaignRow]:
+) -> Tuple[Simulation, Optional[MemorySink], CampaignRow]:
     """One pair's supervised run, not yet started, and its unclassified row.
 
     Both pair evaluators build here, so a plan with no Byzantine specs
     gets the same seeds, agents, scheduler and watchdog under either.
+    The run records a trace only under ``cfg.audit``, the one reader of
+    it; otherwise the sink is ``None`` and the runtime builds no events.
     ``fields`` are the extra columns of ``row_type``.
     """
     index, instance, plan, cfg = task
@@ -241,7 +243,7 @@ def _start_pair(
         ElectAgent(color, rng=random.Random(f"{pair_seed}:{i}"))
         for i, color in enumerate(instance.placement.fresh_colors())
     ]
-    sink = MemorySink()
+    sink = MemorySink() if cfg.audit else None
     sim = Simulation(
         instance.network,
         list(zip(agents, instance.placement.homes)),
@@ -266,16 +268,16 @@ def _start_pair(
 
 def _finish_pair(
     sim: Simulation,
-    sink: MemorySink,
+    sink: Optional[MemorySink],
     row: CampaignRow,
     result: Any,
-    cfg: CampaignConfig,
     scale: int,
 ) -> None:
     """Fill ``row``'s run evidence.
 
-    A completed run gives its counters and, with ``cfg.audit``, the trace
-    audit's failures against ``scale`` times the Theorem 3.1 constant.
+    A completed run gives its counters and, with a ``sink`` (built under
+    ``cfg.audit``), the trace audit's failures against ``scale`` times the
+    Theorem 3.1 constant.
     After a loud failure (``result`` is None) the watchdog's journal is
     salvaged instead.  Either way the row gets the fault journal's
     injections.
@@ -285,7 +287,7 @@ def _finish_pair(
         row.moves = result.total_moves
         row.restarts = sum(result.restarts)
         row.stalls = len(result.stall_events)
-        if cfg.audit and sink.header is not None:
+        if sink is not None and sink.header is not None:
             reports = audit_trace(
                 sink.events,
                 header=sink.header,
@@ -322,7 +324,7 @@ def _evaluate_pair(task: Tuple[int, Any, FaultPlan, CampaignConfig]) -> Campaign
     # Restarted agents redo work from their checkpoint, so the Theorem 3.1
     # gauge is scaled by the restart budget: recovered moves still count
     # against (a scaled) C·r·|E|.
-    _finish_pair(sim, sink, row, result, cfg, 1 + cfg.max_restarts)
+    _finish_pair(sim, sink, row, result, 1 + cfg.max_restarts)
     return row
 
 

@@ -46,6 +46,7 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
+from ..perf.parallel import worker_count
 from . import instrument_whiteboards
 from .budget import ACCESSES, MOVES
 from .exporters import (
@@ -471,7 +472,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     f_record.add_argument("--pairs", type=int, default=12)
     f_record.add_argument("--seed", type=int, default=0)
-    f_record.add_argument("--workers", type=int, default=1)
+    f_record.add_argument("--workers", type=worker_count, default=1)
     f_record.set_defaults(func=_cmd_flight_record)
 
     f_export = flight_sub.add_parser(

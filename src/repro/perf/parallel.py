@@ -28,6 +28,7 @@ worker count.
 
 from __future__ import annotations
 
+import argparse
 import os
 import threading
 import time
@@ -41,6 +42,19 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 _EXECUTORS = ("process", "thread")
+
+
+def worker_count(text: str) -> int:
+    """``argparse`` type of every ``--workers`` flag: a count >= 0.
+
+    A negative count is a usage error (argparse exits 2 before any work
+    starts) rather than the :class:`ParallelBatteryRunner` ``ValueError``
+    a library caller gets; ``0`` and ``1`` both mean serial.
+    """
+    workers = int(text)
+    if workers < 0:
+        raise argparse.ArgumentTypeError(f"workers must be >= 0, got {workers}")
+    return workers
 
 
 class ParallelBatteryRunner:

@@ -33,7 +33,7 @@ import sys
 from typing import List
 
 from ..errors import ReproError
-from ..perf.parallel import ParallelBatteryRunner
+from ..perf.parallel import ParallelBatteryRunner, worker_count
 from .client import ServeClient
 from .http import ElectionServer
 from .service import ElectionService
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run the HTTP service")
     _add_endpoint_args(serve)
     serve.add_argument("--store", default=None, help="SQLite cache path")
-    serve.add_argument("--workers", type=int, default=1)
+    serve.add_argument("--workers", type=worker_count, default=1)
     serve.add_argument("--executor", choices=("process", "thread"), default="process")
     serve.add_argument("--queue-limit", type=int, default=64)
     serve.add_argument("--deadline", type=float, default=30.0)
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer in-process instead of contacting a server",
     )
     query.add_argument("--store", default=None, help="SQLite cache (with --local)")
-    query.add_argument("--workers", type=int, default=1)
+    query.add_argument("--workers", type=worker_count, default=1)
     query.add_argument("--executor", choices=("process", "thread"), default="process")
     query.add_argument("--verbose", action="store_true")
     query.set_defaults(fn=cmd_query)
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument(
         "--ops", nargs="+", choices=OPS, default=["feasibility", "classify"]
     )
-    warm.add_argument("--workers", type=int, default=1)
+    warm.add_argument("--workers", type=worker_count, default=1)
     warm.add_argument("--executor", choices=("process", "thread"), default="process")
     warm.add_argument("--wipe-on-mismatch", action="store_true")
     warm.set_defaults(fn=cmd_warm)

@@ -11,20 +11,25 @@ Agents never see node identifiers.  What an agent observes at a node is a
 :class:`NodeView`: the node's degree, its port labels (presented in an
 order randomized per agent so that no covert total order leaks through),
 the whiteboard contents, and — after a move — the entry port.
+
+:class:`NodeView` is a :class:`typing.NamedTuple`: the runtime builds one
+for every Move, Read and wait check, and a tuple is cheaper to build than
+a frozen dataclass.  It stays immutable, hashable and equal by value; being a
+tuple, it also unpacks, indexes and compares equal to a plain tuple of the
+same values.  The actions themselves stay frozen dataclasses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from ..colors import Color
 from ..graphs.network import PortLabel
 from .signs import Sign
 
 
-@dataclass(frozen=True)
-class NodeView:
+class NodeView(NamedTuple):
     """What an agent perceives standing at a node."""
 
     degree: int

@@ -20,12 +20,19 @@ not an agent's.
 
 Pre-run events (the initial wake-ups of the ``initially_awake`` agents)
 carry step index ``-1``: they happen before the scheduler's first choice.
+
+:class:`TraceEvent` is a :class:`typing.NamedTuple`, because a traced run
+builds one on every step and a tuple is the cheapest immutable record to
+build (a frozen dataclass sets each field through ``object.__setattr__``).
+It stays immutable, hashable and equal by value, and its ``repr`` names
+every field; being a tuple, it also unpacks, indexes and compares equal to
+a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Event kinds
@@ -95,8 +102,7 @@ def _jsonify(value: Any) -> Any:
     return repr(value)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One observed step of one agent.
 
     Only ``step``, ``kind``, ``agent`` and ``node`` are always meaningful;

@@ -161,6 +161,14 @@ class TestSweep:
         assert data["agent_kwargs"] == {}
         assert "distinct_schedules" in data
 
+    def test_a_case_builds_no_trace_event(self, trace_event_builds):
+        """Nothing reads a fuzz case's trace (its schedule comes from the
+        recording scheduler), so the run records none."""
+        spec = FuzzCampaignSpec(runs=4, quick=True)
+        rows = [spec.evaluate(spec.task(i)) for i in range(4)]
+        assert all(row.steps > 0 for row in rows)
+        assert trace_event_builds == []
+
     def test_render_mentions_verdict(self):
         result = run_fuzz(runs=6, quick=True)
         text = result.render()

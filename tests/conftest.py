@@ -32,6 +32,26 @@ def _clean_observability():
 
 
 @pytest.fixture
+def trace_event_builds(monkeypatch):
+    """Every :class:`~repro.trace.TraceEvent` the runtime builds, in order.
+
+    The runtime builds its events through the ``repro.trace.events``
+    module, so counting there sees each one whatever sink receives it.
+    """
+    from repro.trace import events
+
+    built = []
+    real = events.TraceEvent
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(events, "TraceEvent", counting)
+    return built
+
+
+@pytest.fixture
 def space():
     return ColorSpace()
 

@@ -200,6 +200,20 @@ class TestDigestInvariance:
         assert merged.digest(kind="byzantine") == reference
         merged.close()
 
+    def test_each_case_builds_its_plan_once(self, tmp_path, monkeypatch):
+        """The ledger row's trace context needs only the plan's name, so
+        a ledgered sweep builds each case's plan once, for its task."""
+        built = []
+        real = ByzantineCampaignSpec._plan
+
+        def counting(spec, index):
+            built.append(index)
+            return real(spec, index)
+
+        monkeypatch.setattr(ByzantineCampaignSpec, "_plan", counting)
+        self.run_into(tmp_path, "once.db")
+        assert sorted(built) == list(range(self.CASES))
+
 
 class TestFaultCampaignKnob:
     def test_byzantine_mix_in_the_crash_campaign(self, tmp_path):

@@ -163,6 +163,21 @@ class TestDeterminism:
         assert other[0].counts[IMPOSSIBLE] == 0
 
 
+class TestAuditTrace:
+    def test_an_unaudited_pair_builds_no_trace_event(self, trace_event_builds):
+        """The trace audit is a pair's one reader of its events: without
+        it the run records none, and its row is the audited run's."""
+        rows = {}
+        for audit in (False, True):
+            config = CampaignConfig(seed=0, audit=audit)
+            spec = FaultCampaignSpec(pairs=4, quick=True, config=config)
+            rows[audit] = [spec.evaluate(spec.task(i)).to_dict() for i in range(4)]
+            if not audit:
+                assert trace_event_builds == []
+        assert trace_event_builds  # the audited pairs recorded theirs
+        assert rows[False] == rows[True]
+
+
 class TestMetrics:
     def test_campaign_outcomes_counted(self):
         from repro.fault import metrics

@@ -5,12 +5,14 @@ loop's, element for element, in input order — which is what lets
 ``reproduce_table1(workers=N)`` promise byte-identical cells.
 """
 
+import importlib
 import os
 
 import pytest
 
 from repro.analysis.matrix import reproduce_table1
 from repro.perf import ParallelBatteryRunner, parallel_map
+from repro.perf.parallel import worker_count
 
 
 def square(x):
@@ -32,12 +34,46 @@ def test_serial_runner_is_a_plain_loop():
 
 def test_workers_zero_and_none():
     assert ParallelBatteryRunner(workers=0).is_serial
+    assert worker_count("0") == 0
     auto = ParallelBatteryRunner(workers=None)
     assert auto.workers == min(os.cpu_count() or 1, 8)
     with pytest.raises(ValueError):
         ParallelBatteryRunner(workers=-1)
     with pytest.raises(ValueError):
         ParallelBatteryRunner(executor="rayon")
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        pytest.param("campaign", ["run", "fault", "--ledger", "x.db"], id="campaign"),
+        pytest.param("fault", [], id="fault"),
+        pytest.param("adversary", ["fuzz"], id="adversary-fuzz"),
+        pytest.param("obs", ["flight", "record", "--out", "x.json"], id="obs-flight"),
+        pytest.param("analysis", [], id="analysis"),
+        pytest.param("serve", ["serve"], id="serve-serve"),
+        pytest.param(
+            "serve",
+            ["query", "--local", "--op", "classify", "--graph", "petersen",
+             "--homes", "0", "1"],
+            id="serve-query",
+        ),
+        pytest.param("serve", ["warm", "--store", "x.db"], id="serve-warm"),
+    ],
+)
+def test_negative_workers_is_a_usage_error(module, argv, tmp_path, monkeypatch, capsys):
+    """Every ``--workers`` flag refuses a negative count before any work
+    starts, with argparse's exit 2: exit 1 means a sweep found failing
+    cases.  (Only negative counts: a large one would start that many
+    processes.)"""
+    monkeypatch.chdir(tmp_path)
+    main = importlib.import_module(f"repro.{module}.__main__").main
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --workers: workers must be >= 0, got -1" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("executor", ["process", "thread"])

@@ -1,11 +1,15 @@
 """Unit tests for the trace event model and sinks."""
 
+import inspect
 import json
+import pickle
 
 import pytest
 
 from repro.colors import ColorSpace
 from repro.errors import TraceError
+from repro.sim import NodeView
+from repro.sim.signs import Sign
 from repro.trace import (
     MOVE,
     PRE_RUN_STEP,
@@ -77,6 +81,71 @@ class TestTraceEvent:
     def test_header_roundtrip(self):
         h = header(meta={"protocol": "elect", "seed": 3})
         assert TraceHeader.from_dict(h.to_dict()) == h
+
+
+#: The per-step records, each with its defaults and with every field set,
+#: and its ``repr``, which names every field.
+RECORDS = [
+    pytest.param(
+        lambda: ev(step=0, kind=READ, agent=1, node=2),
+        "TraceEvent(step=0, kind='read', agent=1, node=2, color=None, "
+        "port=None, dest=None, entry=None, sign=None, payload=None, "
+        "result=None, detail='')",
+        id="event-defaults",
+    ),
+    pytest.param(
+        lambda: TraceEvent(
+            5, WRITE, 1, 3, "agent1", 0, 4, 1, "status", (1, 2), 1, "x"
+        ),
+        "TraceEvent(step=5, kind='write', agent=1, node=3, color='agent1', "
+        "port=0, dest=4, entry=1, sign='status', payload=(1, 2), result=1, "
+        "detail='x')",
+        id="event-full",
+    ),
+    pytest.param(
+        lambda: NodeView(degree=2, ports=(0, 1), signs=()),
+        "NodeView(degree=2, ports=(0, 1), signs=(), entry_port=None)",
+        id="view-defaults",
+    ),
+    pytest.param(
+        lambda: NodeView(
+            degree=1,
+            ports=(0,),
+            signs=(Sign(kind="status", payload=(1,)),),
+            entry_port=0,
+        ),
+        "NodeView(degree=1, ports=(0,), signs=(Sign(kind='status', "
+        "color=None, payload=(1,)),), entry_port=0)",
+        id="view-full",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, text", RECORDS)
+class TestRecordSemantics:
+    """What callers rely on in an event or a view, whatever builds it."""
+
+    def test_fields_cannot_be_assigned(self, build, text):
+        record = build()
+        fields = inspect.signature(type(record)).parameters
+        assert fields
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_equal_fields_give_equal_records_and_hashes(self, build, text):
+        first, second = build(), build()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+
+    def test_repr_is_unchanged(self, build, text):
+        assert repr(build()) == text
+
+    def test_pickle_round_trips(self, build, text):
+        record = build()
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and type(again) is type(record)
 
 
 class TestMemorySink:
