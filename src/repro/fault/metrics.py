@@ -20,8 +20,9 @@ Metrics
 
 The per-run watchdog counters (``watchdog_stalls_total`` /
 ``watchdog_restarts_total``) live in the *run's* registry instead — they
-are per-agent observations of one simulation, wired in
-:meth:`repro.sim.runtime.Simulation._arm_metrics` like the move counters.
+are per-agent observations of one simulation, published by
+:meth:`repro.sim.runtime.Simulation._publish_metrics` with the move
+counters when the run ends.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -178,14 +177,6 @@ class AnonymousNetwork:
     def edges(self) -> Tuple[EdgeRecord, ...]:
         """All edge records ``(u, port_u, v, port_v)``."""
         return tuple(self._edges)
-
-    def edge_between(self, x: int, y: int) -> Optional[EdgeRecord]:
-        """Some edge record joining ``x`` and ``y``, or ``None``."""
-        for record in self._edges:
-            u, _, v, _ = record
-            if (u, v) in ((x, y), (y, x)):
-                return record
-        return None
 
     def port_label(self, x: int, y: int) -> PortLabel:
         """``ℓ_x({x,y})`` for simple graphs (raises if ambiguous/missing)."""

@@ -21,7 +21,7 @@ Design notes
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Hashable, Iterable, List, Sequence, Set
 
 from ..errors import GroupError
 
@@ -94,12 +94,6 @@ class FiniteGroup(ABC):
         """Return ``g · a · g⁻¹``."""
         return self.operate(self.operate(g, a), self.inverse(g))
 
-    def commutator(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        """Return ``a · b · a⁻¹ · b⁻¹``."""
-        return self.operate(
-            self.operate(a, b), self.operate(self.inverse(a), self.inverse(b))
-        )
-
     def is_abelian(self) -> bool:
         """Check commutativity by exhausting pairs (small groups only)."""
         elems = self.elements()
@@ -156,11 +150,6 @@ class FiniteGroup(ABC):
                 )
         if not self.generates(gens):
             raise GroupError("set does not generate the group (graph would be disconnected)")
-
-    def cayley_table(self) -> Dict[Tuple[GroupElement, GroupElement], GroupElement]:
-        """The full multiplication table (testing/diagnostics helper)."""
-        elems = self.elements()
-        return {(a, b): self.operate(a, b) for a in elems for b in elems}
 
     def check_axioms(self) -> None:
         """Verify the group axioms by brute force (tests only).

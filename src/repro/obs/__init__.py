@@ -2,15 +2,15 @@
 
 The unified cost-measurement layer of the reproduction (DESIGN §8.3).
 Where :mod:`repro.trace` records *what happened* for replay and post-hoc
-audit, this package measures *what it cost*, live:
+audit, this package measures *what it cost*:
 
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry` of counters,
   gauges and histograms (p50/p90/p99) with labeled series and a
   zero-cost disabled path;
 * :mod:`repro.obs.spans` — :func:`span` and :class:`PhaseClock`
   wall-time profiling of ELECT's phases (MAP-DRAWING, COMPUTE & ORDER,
-  AGENT-REDUCE, NODE-REDUCE) plus scheduler steps;
-* :mod:`repro.obs.budget` — :class:`BudgetTracker`, live Theorem 3.1
+  AGENT-REDUCE, NODE-REDUCE);
+* :mod:`repro.obs.budget` — :class:`BudgetTracker`, Theorem 3.1
   ``O(r·|E|)`` accounting with overrun findings;
 * :mod:`repro.obs.exporters` — Prometheus text exposition, JSON
   snapshots and snapshot diffs;

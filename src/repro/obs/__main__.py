@@ -25,7 +25,7 @@ Usage::
 ``report`` and ``export`` run one registered instance (default: ELECT on
 the 3-hypercube with homes 0 3 5 — a Table 1 cell) against a fresh
 enabled registry, so the numbers cover exactly that run.  ``report``
-prints per-phase wall time, per-agent move/access counters, the live
+prints per-phase wall time, per-agent move/access counters, the
 Theorem 3.1 budget gauges and the memo-cache counters, then
 cross-checks the registry's move total against the trace summary —
 a mismatch means an instrumentation bug and exits non-zero.

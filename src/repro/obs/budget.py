@@ -1,12 +1,13 @@
-"""Theorem 3.1 budget gauges: live cost accounting against ``C·r·|E|``.
+"""Theorem 3.1 budget gauges: cost accounting against ``C·r·|E|``.
 
 Theorem 3.1 bounds protocol ELECT at ``O(r·|E|)`` total moves and
 whiteboard accesses.  The trace subsystem audits that bound *post hoc*
-(:func:`repro.trace.invariants.check_theorem31`); this module tracks it
-**live**: a :class:`BudgetTracker` is armed by the runtime at simulation
-start with the instance parameters and updated on every move and access,
-so the gauges can be scraped mid-run and an overrun is detected at the
-step it happens, not after the run ends.
+(:func:`repro.trace.invariants.check_theorem31`); this module keeps it
+as gauges: a metrics-enabled :class:`~repro.sim.runtime.Simulation`
+builds a :class:`BudgetTracker` with the instance parameters and settles
+it once, with the run's move and access totals, when the run ends.  A
+caller driving a tracker directly may record as it goes (each call takes
+a count), and then an overrun is found at the call that crosses it.
 
 Gauges (labels: ``resource`` ∈ {moves, accesses}, plus any instance
 labels the caller adds):
@@ -42,11 +43,11 @@ ACCESSES = "accesses"
 
 
 class BudgetTracker:
-    """Live ``O(r·|E|)`` accounting for one simulation run.
+    """``O(r·|E|)`` accounting for one simulation run.
 
     Built by :class:`repro.sim.runtime.Simulation` when metrics are
-    enabled; exposed for direct use by experiments that drive the runtime
-    themselves.
+    enabled and settled with the run's totals when it ends; exposed for
+    direct use by experiments that drive the runtime themselves.
     """
 
     __slots__ = (
@@ -96,14 +97,14 @@ class BudgetTracker:
 
     # -- recording ---------------------------------------------------------
 
-    def record_move(self) -> None:
-        self._record(MOVES)
+    def record_move(self, count: int = 1) -> None:
+        self._record(MOVES, count)
 
-    def record_access(self) -> None:
-        self._record(ACCESSES)
+    def record_access(self, count: int = 1) -> None:
+        self._record(ACCESSES, count)
 
-    def _record(self, resource: str) -> None:
-        used = self._used[resource] + 1
+    def _record(self, resource: str, count: int) -> None:
+        used = self._used[resource] + count
         self._used[resource] = used
         self._g_used.set(used, resource=resource, **self._labels)
         self._g_headroom.set(

@@ -281,10 +281,6 @@ def recording() -> bool:
     return flight_recorder() is not None
 
 
-def current_context() -> Optional[TraceContext]:
-    return _current.get()
-
-
 def active() -> Optional[FlightRecorder]:
     """The recorder, but only when a trace context is current.
 

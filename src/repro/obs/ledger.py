@@ -381,20 +381,6 @@ class RunLedger:
         )
         return [dict(zip(columns, row)) for row in rows]
 
-    def clear_checkpoint(
-        self,
-        kind: str,
-        campaign: str,
-        shard_index: int = 0,
-        shard_count: int = 1,
-    ) -> None:
-        with self._lock, self._conn:
-            self._conn.execute(
-                "DELETE FROM checkpoints WHERE kind = ? AND campaign = ?"
-                " AND shard_index = ? AND shard_count = ?",
-                (kind, campaign, shard_index, shard_count),
-            )
-
     def merge_from(self, source: Any) -> int:
         """Copy every run row from ``source`` (a path or ledger) into this
         ledger, preserving all columns including ``created``.

@@ -12,9 +12,8 @@ layer actually needs:
   bounded, deterministically decimated sample buffer);
 * a **disabled fast path**: ``registry.enabled = False`` makes every
   ``inc``/``set``/``observe`` an attribute test + early return, mirroring
-  the trace-sink zero-cost contract (the runtime additionally normalizes a
-  disabled registry to ``None`` so its hot loop pays a single ``is not
-  None`` test, exactly like ``trace=``);
+  the trace-sink zero-cost contract (the runtime feeds an enabled registry
+  once, when a run ends, so its step loop has no metrics code at all);
 * a **label-cardinality guard**: each metric holds at most
   ``max_series`` distinct label combinations; excess increments fold into
   a reserved overflow series and raise one structured
@@ -217,10 +216,6 @@ class Counter(_Metric):
             key = self._slot(labels)
             self._series[key] += amount
 
-    def labels(self, **labels: Any) -> "_BoundCounter":
-        """Pre-resolve a label set for hot-loop increments."""
-        return _BoundCounter(self, _label_key(labels))
-
     def value(self, **labels: Any) -> float:
         with self._registry._lock:
             return float(self._series.get(_label_key(labels), 0.0))
@@ -228,32 +223,6 @@ class Counter(_Metric):
     def total(self) -> float:
         with self._registry._lock:
             return float(sum(self._series.values()))
-
-
-class _BoundCounter:
-    """A counter child bound to one label combination.
-
-    ``inc`` skips label normalization — the per-step cost when the runtime
-    is instrumented is one enabled test, one lock, one dict add.
-    """
-
-    __slots__ = ("_metric", "_key")
-
-    def __init__(self, metric: Counter, key: LabelKey):
-        self._metric = metric
-        self._key = key
-        with metric._registry._lock:
-            metric._slot(dict(key))
-
-    def inc(self, amount: float = 1.0) -> None:
-        metric = self._metric
-        if not metric._registry.enabled:
-            return
-        with metric._registry._lock:
-            if self._key in metric._series:
-                metric._series[self._key] += amount
-            else:  # cleared since binding: re-resolve through the guard
-                metric._series[metric._slot(dict(self._key))] += amount
 
 
 class Gauge(_Metric):
@@ -390,12 +359,7 @@ class MetricsRegistry:
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self) -> None:
-        """Zero every series and drop findings; metric handles stay valid.
-
-        Bound counter children survive a reset (they re-resolve their slot
-        on the next increment), so long-lived instrumentation never holds a
-        stale reference.
-        """
+        """Zero every series and drop findings; metric handles stay valid."""
         with self._lock:
             for metric in self._metrics.values():
                 metric._series.clear()
@@ -476,8 +440,7 @@ def reset_all_collectors() -> None:
     ``serve`` collectors are always-enabled module globals, so without a
     fixture calling this, one test's cache hits or campaign outcomes leak
     into the next test's snapshot.  Series and findings are cleared; the
-    metric *definitions* (and any bound-series handles, which re-resolve
-    lazily after a reset) survive.
+    metric *definitions* survive.
     """
     for registry in _collectors.values():
         registry.reset()

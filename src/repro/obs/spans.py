@@ -9,7 +9,7 @@ histogram (labels: ``span`` plus whatever the caller adds):
   is not a lexical block but a stretch of an agent's lifetime between two
   transitions.  ``enter(name)`` closes the previous phase's span and opens
   the next; ``close()`` ends the last one (the runtime calls it when the
-  agent terminates).
+  agent terminates or is restarted, with metrics on or off).
 
 Because the simulation interleaves agents in one thread, a phase span
 measures **wall time between that agent's phase transitions** — it
@@ -91,8 +91,8 @@ class PhaseClock:
     """Tracks an agent's current phase and records span durations.
 
     ``labels`` (typically ``agent=<color name>``) are attached to every
-    span this clock emits.  The clock also maintains a ``phase`` attribute
-    the runtime may read to attribute per-step costs.
+    span this clock emits.  The clock also keeps the agent's current phase
+    as its ``phase`` attribute.
     """
 
     __slots__ = ("_registry", "_hist", "_labels", "phase", "_entered",

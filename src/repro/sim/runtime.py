@@ -34,18 +34,18 @@ costs a single attribute test per emit site; recorded runs replay
 bit-for-bit through :class:`~repro.trace.replay.ReplayScheduler`.
 
 Metrics registry: pass a :class:`~repro.obs.registry.MetricsRegistry` as
-``metrics`` (default: the process-wide registry, which ships disabled) and
-the runtime feeds per-agent move/access counters, scheduler-step timings
-and the live Theorem 3.1 budget gauges (:mod:`repro.obs.budget`).  A
-disabled registry is normalized to ``None`` at construction, so the main
-loop pays exactly one ``is not None`` test per emit site — the same
-zero-cost contract as the trace sink.
+``metrics`` (default: the process-wide registry, which ships disabled).
+The agent records are the run's only live count: when the run ends —
+completed, deadlocked or raised — an enabled registry is fed once from
+them (per-agent move/access and watchdog counters, scheduler steps and
+the Theorem 3.1 budget gauges of :mod:`repro.obs.budget`), so the step
+loop carries no metrics code at all.
 """
 
 from __future__ import annotations
 
 import random
-import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -53,7 +53,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ..obs.budget import BudgetTracker
 from ..obs.registry import MetricsRegistry, get_registry
 
-from ..colors import Color
 from ..errors import (
     DeadlockError,
     GraphError,
@@ -229,10 +228,11 @@ class Simulation:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  ``None``
         (default) falls back to the process-wide registry, which ships
         disabled; a disabled registry costs nothing.  When enabled, the
-        run feeds ``agent_moves_total`` / ``agent_accesses_total``
-        counters, ``scheduler_steps_total`` and ``scheduler_step_seconds``,
-        and arms a live Theorem 3.1 :class:`~repro.obs.budget.BudgetTracker`
-        (exposed as ``self.budget``).
+        run's end feeds it ``agent_moves_total`` / ``agent_accesses_total``,
+        ``watchdog_restarts_total`` / ``watchdog_stalls_total`` (by agent)
+        and ``scheduler_steps_total`` from the agent records, and settles a
+        Theorem 3.1 :class:`~repro.obs.budget.BudgetTracker` (exposed as
+        ``self.budget``) with the run's totals.
     fault:
         Optional fault plan (duck-typed: anything with an ``install(sim)``
         method, canonically :class:`repro.fault.plan.FaultPlan`).  Installed
@@ -318,9 +318,8 @@ class Simulation:
             self._tev = trace_events
         else:
             self._tev = None
-        # Fault installation happens before metrics arming so that metric
-        # label pre-binding sees the (color-preserving) wrapped agents, and
-        # before the first run so replayed runs re-install identically.
+        # Fault installation happens before the first run so replayed runs
+        # re-install identically.
         self.watchdog = watchdog
         self._restart_pending: Dict[int, int] = {}  # agent idx -> wake-at step
         #: Callables ``hook(sim, step)`` invoked once per scheduler
@@ -329,8 +328,6 @@ class Simulation:
         #: must exist before fault installation (install appends to it).
         self.step_hooks: List[Any] = []
         self.fault_state = fault.install(self) if fault is not None else None
-        # Same normalization as the trace sink: a disabled registry costs
-        # the hot loop exactly one ``is not None`` test per emit site.
         if metrics is None:
             metrics = get_registry()
         self._metrics: Optional[MetricsRegistry] = (
@@ -338,40 +335,26 @@ class Simulation:
         )
         self.budget: Optional[BudgetTracker] = None
         if self._metrics is not None:
-            self._arm_metrics()
+            self.budget = BudgetTracker(
+                num_agents=len(self.records),
+                num_edges=self.network.num_edges,
+                registry=self._metrics,
+            )
         self._step = -1  # PRE_RUN_STEP until the scheduler's first choice
 
-    def _arm_metrics(self) -> None:
-        """Create the counters, gauges and budget gauges for this run.
+    def _publish_metrics(self, steps: int) -> None:
+        """Feed the enabled registry this run's totals, read off the records.
 
-        Per-agent counters are pre-bound (:meth:`Counter.labels`) so the
-        per-move cost when metrics are enabled is one dict update.
+        Called once, when the run ends however it ends: the step loop keeps
+        the only live count (``rec.moves``, ``rec.accesses``,
+        ``rec.restarts`` and the watchdog's stall journal).
         """
         reg = self._metrics
-        assert reg is not None
-        self.budget = BudgetTracker(
-            num_agents=len(self.records),
-            num_edges=self.network.num_edges,
-            registry=reg,
-        )
         moves = reg.counter(
             "agent_moves_total", help="edge traversals, by agent color"
         )
         accesses = reg.counter(
             "agent_accesses_total", help="whiteboard accesses, by agent color"
-        )
-        labels = [
-            rec.agent.color.name or f"agent{i}"
-            for i, rec in enumerate(self.records)
-        ]
-        self._m_moves = [moves.labels(agent=lb) for lb in labels]
-        self._m_accesses = [accesses.labels(agent=lb) for lb in labels]
-        self._m_steps = reg.counter(
-            "scheduler_steps_total", help="scheduler steps executed"
-        )
-        self._m_step_hist = reg.histogram(
-            "scheduler_step_seconds",
-            help="wall-time per scheduler step, by the acting agent's phase",
         )
         stalls = reg.counter(
             "watchdog_stalls_total",
@@ -381,29 +364,23 @@ class Simulation:
             "watchdog_restarts_total",
             help="checkpoint restarts performed, by agent color",
         )
-        self._m_stalls = [stalls.labels(agent=lb) for lb in labels]
-        self._m_restarts = [restarts.labels(agent=lb) for lb in labels]
-
-    def _metric_access(self, idx: int) -> None:
-        """One whiteboard access happened (callers guard on ``_metrics``)."""
-        self._m_accesses[idx].inc()
-        assert self.budget is not None
-        self.budget.record_access()
-
-    def _record_step(self, idx: int, started: float) -> None:
-        """Account one scheduler step (callers guard on ``_metrics``).
-
-        The step's wall time is attributed to the acting agent's current
-        protocol phase (read off its :class:`~repro.obs.spans.PhaseClock`,
-        if it keeps one), which is what lets ``python -m repro.obs report``
-        break scheduler time down per phase.
-        """
-        self._m_steps.inc()
-        clock = getattr(self.records[idx].agent, "obs_clock", None)
-        phase = getattr(clock, "phase", None) or "-"
-        self._m_step_hist.observe(
-            time.perf_counter() - started, phase=phase
+        stalled = Counter(
+            agent
+            for _, agent, _ in (
+                self.watchdog.stall_events if self.watchdog is not None else ()
+            )
         )
+        for i, rec in enumerate(self.records):
+            label = rec.agent.color.name or f"agent{i}"
+            moves.inc(rec.moves, agent=label)
+            accesses.inc(rec.accesses, agent=label)
+            stalls.inc(stalled[i], agent=label)
+            restarts.inc(rec.restarts, agent=label)
+        reg.counter(
+            "scheduler_steps_total", help="scheduler steps executed"
+        ).inc(steps)
+        self.budget.record_move(sum(rec.moves for rec in self.records))
+        self.budget.record_access(sum(rec.accesses for rec in self.records))
 
     # ------------------------------------------------------------------
     # Views
@@ -535,10 +512,9 @@ class Simulation:
         rec.state = AgentState.DONE
         rec.result = result
         rec.gen = None
-        if self._metrics is not None:
-            clock = getattr(rec.agent, "obs_clock", None)
-            if clock is not None:
-                clock.close()
+        clock = getattr(rec.agent, "obs_clock", None)
+        if clock is not None:
+            clock.close()
         if self._sink is not None:
             self._emit(
                 self._tev.DONE,
@@ -560,9 +536,6 @@ class Simulation:
             new_node, entry = follow_port(self.network, origin, idx, action.port)
             rec.node = new_node
             rec.moves += 1
-            if self._metrics is not None:
-                self._m_moves[idx].inc()
-                self.budget.record_move()
             if self._sink is not None:
                 self._emit(
                     self._tev.MOVE,
@@ -578,8 +551,6 @@ class Simulation:
             return self._view(idx, new_node, entry_port=entry)
         if isinstance(action, Read):
             rec.accesses += 1
-            if self._metrics is not None:
-                self._metric_access(idx)
             if self._sink is not None:
                 self._emit(self._tev.READ, idx, rec.node)
             return self._view(idx, rec.node)
@@ -599,8 +570,6 @@ class Simulation:
                     )
                 forged = True
             rec.accesses += 1
-            if self._metrics is not None:
-                self._metric_access(idx)
             if forged and self._sink is not None:
                 self._emit(
                     self._tev.FORGE,
@@ -627,8 +596,6 @@ class Simulation:
             return None
         if isinstance(action, Erase):
             rec.accesses += 1
-            if self._metrics is not None:
-                self._metric_access(idx)
             removed = board.erase_own(color, action.kind, action.payload)
             if self._sink is not None:
                 self._emit(
@@ -644,8 +611,6 @@ class Simulation:
             return removed
         if isinstance(action, TryAcquire):
             rec.accesses += 1
-            if self._metrics is not None:
-                self._metric_access(idx)
             ok = board.try_acquire(color, action.kind, action.payload, action.capacity)
             if self._sink is not None:
                 self._emit(
@@ -661,8 +626,6 @@ class Simulation:
             return ok
         if isinstance(action, WaitUntil):
             rec.accesses += 1
-            if self._metrics is not None:
-                self._metric_access(idx)
             view = self._view(idx, rec.node)
             if action.predicate(view):
                 if self._sink is not None:
@@ -773,26 +736,21 @@ class Simulation:
                     )
                 self._step = steps
                 rec = self.records[idx]
-                step_start = (
-                    time.perf_counter() if self._metrics is not None else 0.0
-                )
                 try:
                     action = rec.gen.send(rec.pending)
                 except StopIteration as stop:
                     self._finish(idx, stop.value)
-                    if self._metrics is not None:
-                        self._record_step(idx, step_start)
                     steps += 1
                     continue
                 rec.pending = self._execute(idx, action)
                 if rec.state is AgentState.BLOCKED:
                     rec.pending = None
-                if self._metrics is not None:
-                    self._record_step(idx, step_start)
                 steps += 1
         finally:
             if self._sink is not None:
                 self._sink.flush()
+            if self._metrics is not None:
+                self._publish_metrics(steps)
         return self._result(steps)
 
     # ------------------------------------------------------------------
@@ -875,8 +833,6 @@ class Simulation:
         rec = self.records[idx]
         rec.stall_flagged = True
         self.watchdog.record_stall(idx, blocked_for, steps)
-        if self._metrics is not None:
-            self._m_stalls[idx].inc()
         if self._sink is not None:
             reason = rec.blocked_on.reason if rec.blocked_on else None
             self._emit(
@@ -906,11 +862,9 @@ class Simulation:
             rec.blocked_on = None
         rec.blocked_at = -1
         rec.stall_flagged = False
-        if self._metrics is not None:
-            clock = getattr(rec.agent, "obs_clock", None)
-            if clock is not None:
-                clock.close()
-            self._m_restarts[idx].inc()
+        clock = getattr(rec.agent, "obs_clock", None)
+        if clock is not None:
+            clock.close()
         rec.node = rec.home
         rec.restarts += 1
         rec.pending = None

@@ -20,7 +20,7 @@ once and returning to the start in ``2(n-1)`` moves).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..colors import Color
@@ -66,10 +66,6 @@ class LocalMap:
             if c == color:
                 return node
         raise ProtocolError("no home-base with that color on this map")
-
-    def agent_colors(self) -> List[Color]:
-        """Colors of all home-bases (i.e. of all agents), in map-node order."""
-        return [self.homebases[v] for v in sorted(self.homebases)]
 
 
 def draw_map(color: Color, start: NodeView) -> ActionGen:
@@ -400,17 +396,4 @@ class Navigator:
 
         first_view = yield Read()
         yield from walk(start, first_view)
-        return results
-
-    def visit_nodes(
-        self,
-        targets: List[int],
-        visit: Callable[[int, NodeView], ActionGen],
-    ) -> ActionGen:
-        """Visit a specific list of map nodes (in the given order) via
-        shortest paths, running ``visit`` at each.  Returns result dict."""
-        results: Dict[int, Any] = {}
-        for node in targets:
-            view = yield from self.goto(node)
-            results[node] = yield from visit(node, view)
         return results

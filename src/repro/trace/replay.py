@@ -123,11 +123,6 @@ class ReplayScheduler(Scheduler):
         return cls(schedule_of(events))
 
     @classmethod
-    def from_trace(cls, path: str) -> "ReplayScheduler":
-        _, events = load_trace(path)
-        return cls(schedule_of(events))
-
-    @classmethod
     def from_recording(
         cls, recorder: "object"
     ) -> "ReplayScheduler":
@@ -137,10 +132,6 @@ class ReplayScheduler(Scheduler):
 
     def reset(self) -> None:
         self._next = 0
-
-    @property
-    def steps_replayed(self) -> int:
-        return self._next
 
     def choose(self, runnable: Sequence[int], step: int) -> int:
         if self._next >= len(self.schedule):

@@ -1,6 +1,7 @@
 """Crash recovery: checkpoint restarts, determinism, replay fidelity."""
 
 import random
+from collections import Counter
 
 from repro.colors import ColorSpace
 from repro.core.elect import ElectAgent
@@ -8,6 +9,8 @@ from repro.core.placement import Placement
 from repro.core.runner import run_elect
 from repro.fault import CrashAtStep, FaultPlan, Watchdog
 from repro.graphs import path_graph
+from repro.obs import flight
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Simulation
 from repro.sim.scheduler import RandomScheduler
 from repro.trace import (
@@ -20,7 +23,7 @@ from repro.trace.invariants import THEOREM31_CONSTANT
 
 
 def supervised_sim(seed=0, crash_after=10, max_restarts=2, trace=None,
-                   scheduler=None):
+                   scheduler=None, metrics=None):
     """Two agents on the (asymmetric, electable) path P_5; agent 0 crashes."""
     net = path_graph(5)
     space = ColorSpace()
@@ -36,6 +39,7 @@ def supervised_sim(seed=0, crash_after=10, max_restarts=2, trace=None,
         fault=plan,
         watchdog=Watchdog(timeout=60, max_restarts=max_restarts, seed=seed),
         trace=trace,
+        metrics=metrics,
     )
 
 
@@ -131,3 +135,33 @@ class TestDeterminism:
         assert [type(r).__name__ for r in replayed.results] == [
             type(r).__name__ for r in result.results
         ]
+
+
+class TestObservability:
+    def test_watchdog_counters_match_the_result(self):
+        registry = MetricsRegistry(enabled=True)
+        sim = supervised_sim(seed=1, metrics=registry)
+        result = sim.run()
+        labels = [rec.agent.color.name for rec in sim.records]
+        restarts = registry.counter("watchdog_restarts_total")
+        stalls = registry.counter("watchdog_stalls_total")
+        stalled = Counter(agent for _, agent, _ in result.stall_events)
+        assert result.restarts == [1, 0]
+        assert [restarts.value(agent=lb) for lb in labels] == result.restarts
+        assert [stalls.value(agent=lb) for lb in labels] == [
+            stalled[i] for i in range(len(labels))
+        ] == [1, 0]
+
+    def test_restart_closes_the_interrupted_phase_without_metrics(self):
+        # The default registry is disabled; the flight recorder alone must
+        # still see the phase a restart cut short and each final phase.
+        recorder = flight.enable_flight()
+        with flight.entrypoint_span("supervised", 1):
+            result = supervised_sim(seed=1).run()
+        assert result.restarts == [1, 0]
+        phases = Counter(
+            span.name for span in recorder.spans() if span.kind == "phase"
+        )
+        assert phases == {
+            "map_drawing": 3, "compute_order": 2, "announce": 1, "await": 1,
+        }

@@ -69,3 +69,22 @@ def test_summary_is_json_safe():
     assert summary["used"] == {MOVES: 1, ACCESSES: 0}
     assert summary["overrun"] is False
     assert summary["num_agents"] == 2
+
+
+def test_a_counted_record_settles_a_whole_run_at_once():
+    reg = MetricsRegistry()
+    tracker = BudgetTracker(num_agents=1, num_edges=1, registry=reg, constant=2.0)
+    tracker.record_move(5)
+    tracker.record_access(2)
+    assert tracker.used(MOVES) == 5
+    assert reg.gauge("theorem31_headroom").value(resource=MOVES) == -3.0
+    assert reg.gauge("theorem31_overrun").value(resource=ACCESSES) == 0.0
+    findings = [f for f in reg.findings if f.name == "theorem-3.1-budget"]
+    assert len(findings) == 1
+    assert findings[0].stats["used"] == 5.0  # the total, not the first excess
+    strict = BudgetTracker(
+        num_agents=1, num_edges=1, registry=MetricsRegistry(), constant=2.0,
+        strict=True,
+    )
+    with pytest.raises(InvariantViolation):
+        strict.record_access(3)

@@ -58,7 +58,7 @@ class TestPhaseClock:
         reg = MetricsRegistry(enabled=False)
         clock = PhaseClock(registry=reg, agent="A")
         clock.enter("one")
-        assert clock.phase == "one"  # runtime reads this for step labeling
+        assert clock.phase == "one"  # tracked even with metrics off
         clock.enter("two")
         assert clock.phase == "two"
         clock.close()

@@ -1,14 +1,20 @@
 """Runtime wiring: registry totals must agree with the trace summary."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from repro.colors import ColorSpace
 from repro.core import Placement, run_elect
+from repro.core.elect import ElectAgent
+from repro.errors import StepBudgetExceeded
 from repro.graphs import hypercube_cayley
-from repro.obs import instrument_whiteboards
+from repro.obs import flight, instrument_whiteboards
 from repro.obs.budget import ACCESSES, MOVES
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SPAN_METRIC
-from repro.sim import RandomScheduler
+from repro.sim import RandomScheduler, Simulation
 from repro.trace import MemorySink, record_run, summarize
 
 
@@ -48,18 +54,59 @@ class TestMoveParity:
             for series in registry.histogram(SPAN_METRIC).snapshot_series()
         }
         assert "map_drawing" in spans and "compute_order" in spans
-        # Per-step timings are attributed to the acting agent's phase.
-        phases = {
-            series["labels"]["phase"]
-            for series in registry.histogram(
-                "scheduler_step_seconds"
-            ).snapshot_series()
-        }
-        assert "map_drawing" in phases
 
     def test_steps_counter_matches_trace_steps(self, instrumented_run):
         registry, _, summary = instrumented_run
         assert registry.counter("scheduler_steps_total").total() == summary.steps
+
+
+class TestRunEndTotals:
+    def test_a_run_that_raises_publishes_its_records(self):
+        registry = MetricsRegistry(enabled=True)
+        space = ColorSpace()
+        agents = [
+            ElectAgent(space.fresh(), rng=random.Random(f"11:{i}"))
+            for i in range(3)
+        ]
+        sim = Simulation(
+            hypercube_cayley(3).network,
+            list(zip(agents, [0, 3, 5])),
+            scheduler=RandomScheduler(seed=11),
+            max_steps=120,
+            metrics=registry,
+        )
+        with pytest.raises(StepBudgetExceeded):
+            sim.run()
+        moves = registry.counter("agent_moves_total")
+        accesses = registry.counter("agent_accesses_total")
+        for rec in sim.records:
+            assert moves.value(agent=rec.agent.color.name) == rec.moves
+            assert accesses.value(agent=rec.agent.color.name) == rec.accesses
+        used = registry.gauge("theorem31_used")
+        assert used.value(resource=MOVES) == sum(
+            rec.moves for rec in sim.records
+        ) == 85
+        assert used.value(resource=ACCESSES) == sum(
+            rec.accesses for rec in sim.records
+        ) == 29
+        assert registry.counter("scheduler_steps_total").total() == 120
+
+
+class TestFlightPhases:
+    def test_metrics_off_run_records_every_final_phase(self):
+        recorder = flight.enable_flight()
+        outcome = run_elect(
+            hypercube_cayley(3).network,
+            Placement.of([0, 3, 5]),
+            seed=11,
+            metrics=MetricsRegistry(enabled=False),
+        )
+        assert outcome.elected
+        phases = Counter(
+            span.name for span in recorder.spans() if span.kind == "phase"
+        )
+        assert phases["announce"] == 1
+        assert phases["await"] == 2
 
 
 class TestDisabledPath:
