@@ -1,11 +1,12 @@
 """E11 — tracing overhead: the default (untraced) path stays zero-cost.
 
 Every emit site in the runtime is guarded by ``if self._sink is not None``,
-so a run with ``trace=None`` must cost the same as before the trace
-subsystem existed, and even a live no-op sink must stay within a few
-percent.  Methodology: interleave baseline/traced timings (so clock drift
-and cache effects hit both alike) and compare the *minima*, which strips
-scheduler noise; re-measure a few times before declaring a regression.
+so ``trace=None``, the one untraced run, costs the same as before the
+trace subsystem existed, and recording into memory stays the same order
+of magnitude.  Methodology: interleave baseline/traced timings (so clock
+drift and cache effects hit both alike) and compare the *minima*, which
+strips scheduler noise; re-measure a few times before declaring a
+regression.
 """
 
 import time
@@ -13,7 +14,7 @@ import time
 from repro.core import Placement, run_elect
 from repro.graphs import hypercube_cayley
 from repro.sim import RandomScheduler
-from repro.trace import MemorySink, NullSink
+from repro.trace import MemorySink
 
 HOMES = [0, 3, 5]
 REPEATS = 12
@@ -58,25 +59,10 @@ def test_bench_untraced_run(benchmark):
     assert outcome.elected
 
 
-def test_bench_noop_sink_overhead_under_five_percent(benchmark):
-    # Flakiness guard: timing ratios wobble under CI load, so allow a few
-    # re-measurements before treating the overhead as real.
-    ratio = None
-    for _ in range(3):
-        ratio = measure_overhead(NullSink)
-        if ratio < 1.05:
-            break
-    benchmark.extra_info["noop_overhead_ratio"] = ratio
-    benchmark.pedantic(
-        run_traced, args=(NullSink(),), rounds=3, iterations=1
-    )
-    assert ratio < 1.05, f"no-op sink overhead {ratio:.3f}x exceeds 5%"
-
-
 def test_bench_memory_sink_recording(benchmark):
     # Recording into memory is the common debugging configuration; it may
-    # cost more than the no-op sink but must stay the same order of
-    # magnitude as the untraced run.
+    # cost more than the untraced run but must stay the same order of
+    # magnitude.
     ratio = None
     for _ in range(3):
         ratio = measure_overhead(MemorySink)

@@ -89,7 +89,6 @@ from .sim import (
 from .trace import (
     JsonlSink,
     MemorySink,
-    NullSink,
     ReplayScheduler,
     TraceEvent,
     TraceHeader,
@@ -147,7 +146,6 @@ __all__ = [
     "TraceEvent",
     "TraceHeader",
     "TraceSink",
-    "NullSink",
     "MemorySink",
     "JsonlSink",
     "ReplayScheduler",

@@ -147,14 +147,11 @@ class ElectAgent(Agent):
 
     def protocol(self, start: NodeView) -> ProtocolGen:
         # Phase spans (DESIGN §8.3): the clock attributes the agent's wall
-        # time between phase transitions to the four ELECT phases.  The
-        # runtime injects its registry as ``obs_registry`` when metrics are
-        # enabled and closes the clock when the agent terminates; against a
-        # disabled registry every call below is a no-op.
-        self.obs_clock = PhaseClock(
-            registry=getattr(self, "obs_registry", None),
-            agent=self.color.name or "?",
-        )
+        # time between phase transitions to the four ELECT phases, in the
+        # process registry.  The runtime closes the clock when the agent
+        # terminates or restarts; against a disabled registry (and no
+        # flight recorder) every call below is a no-op.
+        self.obs_clock = PhaseClock(agent=self.color.name or "?")
         self.obs_clock.enter(MAP_DRAWING)
         # Checkpoint hook: our own dfs-visited mark on the start view means
         # this protocol instance was restarted by the watchdog after a crash

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from ..errors import ProtocolError
-from ..obs.spans import AGENT_REDUCE, NODE_REDUCE, span
+from ..obs.spans import span
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,7 @@ def _build_schedule(sizes: Sequence[int], num_agent_classes: int) -> Schedule:
     for idx in range(1, num_agent_classes):
         if current == 1:
             break
-        with span(AGENT_REDUCE, phase=str(phase_id), class_index=str(idx)):
-            rounds, out = agent_reduce_rounds(current, sizes[idx])
+        rounds, out = agent_reduce_rounds(current, sizes[idx])
         phases.append(
             PhaseSpec(
                 phase_id=phase_id,
@@ -210,8 +209,7 @@ def _build_schedule(sizes: Sequence[int], num_agent_classes: int) -> Schedule:
     for idx in range(num_agent_classes, len(sizes)):
         if current == 1:
             break
-        with span(NODE_REDUCE, phase=str(phase_id), class_index=str(idx)):
-            rounds, out = node_reduce_rounds(current, sizes[idx])
+        rounds, out = node_reduce_rounds(current, sizes[idx])
         phases.append(
             PhaseSpec(
                 phase_id=phase_id,

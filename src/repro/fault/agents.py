@@ -96,17 +96,9 @@ class FaultedAgent(Agent):
         self.crashed = False
         self._on_fire = on_fire
 
-    # The runtime hands observability objects to ``rec.agent`` (this
-    # wrapper) but the inner protocol is what actually keeps a PhaseClock;
-    # forward both directions so fault injection is invisible to metrics.
-    @property
-    def obs_registry(self) -> Any:
-        return getattr(self.inner, "obs_registry", None)
-
-    @obs_registry.setter
-    def obs_registry(self, value: Any) -> None:
-        self.inner.obs_registry = value
-
+    # The runtime closes ``rec.agent.obs_clock`` (this wrapper's) when the
+    # agent finishes or restarts, but the inner protocol is what keeps the
+    # PhaseClock; forward it so fault injection is invisible to metrics.
     @property
     def obs_clock(self) -> Any:
         return getattr(self.inner, "obs_clock", None)

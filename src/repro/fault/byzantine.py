@@ -181,16 +181,8 @@ class LyingAgent(Agent):
         #: Foreign signs observed in NodeViews — forgery/replay material.
         self._seen_foreign: List[Sign] = []
 
-    # Forward observability plumbing like FaultedAgent does, so a lying
-    # wrapper is invisible to the metrics layer.
-    @property
-    def obs_registry(self) -> Any:
-        return getattr(self.inner, "obs_registry", None)
-
-    @obs_registry.setter
-    def obs_registry(self, value: Any) -> None:
-        self.inner.obs_registry = value
-
+    # Forward the inner protocol's PhaseClock like FaultedAgent does, so
+    # the runtime closes it and a lying wrapper is invisible to metrics.
     @property
     def obs_clock(self) -> Any:
         return getattr(self.inner, "obs_clock", None)

@@ -19,7 +19,7 @@ Metrics
   ``consistency`` / ``strict``), counted once per distinct finding.
 
 The per-run watchdog counters (``watchdog_stalls_total`` /
-``watchdog_restarts_total``) live in the *run's* registry instead — they
+``watchdog_restarts_total``) live in the process registry instead — they
 are per-agent observations of one simulation, published by
 :meth:`repro.sim.runtime.Simulation._publish_metrics` with the move
 counters when the run ends.

@@ -25,9 +25,11 @@ audit, this package measures *what it cost*:
 * ``python -m repro.obs`` — the ``report`` / ``export`` / ``diff`` /
   ``flight`` / ``ledger`` / ``regress`` CLI.
 
-Metrics ship **disabled**: enable them with :func:`enable`, the
-``REPRO_METRICS=1`` environment variable, or by handing an enabled
-registry to :class:`repro.sim.runtime.Simulation` as ``metrics=``.
+Every metric a run produces goes to one place, the process registry
+(:func:`get_registry`).  It ships **disabled**: :func:`enable`,
+:func:`disable` and the ``REPRO_METRICS=1`` environment variable switch
+it, and only :func:`set_registry` replaces it (``python -m repro.obs
+report`` installs a fresh one that way and restores the old one after).
 
 Subsystems with always-on counters register themselves as *collectors*
 (merged into :func:`collect_snapshot`): ``"perf"`` (memo-cache hit/miss),
@@ -35,9 +37,9 @@ Subsystems with always-on counters register themselves as *collectors*
 campaign outcome classifications) and ``"serve"``
 (:mod:`repro.serve.metrics` — request, cache-tier, coalescing and
 back-pressure counters; the election service's ``GET /metrics`` endpoint
-serves the merged exposition of *all* collectors).  A metrics-armed
-supervised run also exposes ``watchdog_stalls_total`` /
-``watchdog_restarts_total`` in its own registry.
+serves the merged exposition of *all* collectors).  A supervised run
+under an enabled process registry also feeds it
+``watchdog_stalls_total`` / ``watchdog_restarts_total``.
 """
 
 from .budget import ACCESSES, DEFAULT_CONSTANT, MOVES, BudgetTracker
@@ -151,26 +153,24 @@ __all__ = [
 ]
 
 
-def instrument_whiteboards(registry=None):
+def instrument_whiteboards():
     """Feed whiteboard operations into ``whiteboard_ops_total{op=...}``.
 
     Installs the module-level observation hook of
     :mod:`repro.sim.whiteboard` (boards carry no registry reference, so
-    per-operation counting goes through one process-global hook).  Returns
-    a zero-argument callable restoring the previous hook::
+    per-operation counting goes through one process-global hook), bound
+    to the process registry at call time.  Returns a zero-argument
+    callable restoring the previous hook::
 
-        restore = instrument_whiteboards(reg)
+        restore = instrument_whiteboards()
         try:
             ...  # run simulations
         finally:
             restore()
-
-    Passing ``None`` binds the *default* registry at call time.
     """
     from ..sim.whiteboard import set_observation_hook
 
-    reg = registry if registry is not None else get_registry()
-    counter = reg.counter(
+    counter = get_registry().counter(
         "whiteboard_ops_total",
         help="whiteboard primitive invocations, by operation",
     )

@@ -76,7 +76,7 @@ def _run_instrumented(
 
     registry = MetricsRegistry(enabled=True)
     previous = set_registry(registry)
-    restore_boards = instrument_whiteboards(registry)
+    restore_boards = instrument_whiteboards()
     perf_cache.reset()
     try:
         outcome, sink = record_run(

@@ -3,11 +3,12 @@
 Theorem 3.1 bounds protocol ELECT at ``O(r·|E|)`` total moves and
 whiteboard accesses.  The trace subsystem audits that bound *post hoc*
 (:func:`repro.trace.invariants.check_theorem31`); this module keeps it
-as gauges: a metrics-enabled :class:`~repro.sim.runtime.Simulation`
-builds a :class:`BudgetTracker` with the instance parameters and settles
-it once, with the run's move and access totals, when the run ends.  A
-caller driving a tracker directly may record as it goes (each call takes
-a count), and then an overrun is found at the call that crosses it.
+as gauges in the process registry: a :class:`~repro.sim.runtime.Simulation`
+run while that registry is enabled builds a :class:`BudgetTracker` with
+the instance parameters when the run starts and settles it once, with
+the run's move and access totals, when the run ends.  A caller driving a tracker
+directly may record as it goes (each call takes a count), and then an
+overrun is found at the call that crosses it.
 
 Gauges (labels: ``resource`` ∈ {moves, accesses}, plus any instance
 labels the caller adds):
@@ -18,8 +19,8 @@ labels the caller adds):
 * ``theorem31_overrun``   — 0/1 flag.
 
 On the first overrun of either resource the tracker records a structured
-:class:`~repro.obs.registry.ObsFinding` ("theorem-3.1-budget") on its
-registry; with ``strict=True`` it additionally raises
+:class:`~repro.obs.registry.ObsFinding` ("theorem-3.1-budget") on the
+registry it was built against; with ``strict=True`` it additionally raises
 :class:`~repro.errors.InvariantViolation`.  The default is to record, not
 raise — the constant ``C`` is an empirical envelope (it mirrors the E7
 benchmark's bound), and observability must never kill the observed run.
@@ -27,10 +28,10 @@ benchmark's bound), and observability must never kill the observed run.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..errors import InvariantViolation
-from .registry import MetricsRegistry, ObsFinding, get_registry
+from .registry import ObsFinding, get_registry
 
 #: The Theorem 3.1 ``O(r·|E|)`` bound constant — the bound the E7
 #: complexity benchmark asserts across the instance sweep.  The
@@ -60,12 +61,11 @@ class BudgetTracker:
         self,
         num_agents: int,
         num_edges: int,
-        registry: Optional[MetricsRegistry] = None,
         constant: float = DEFAULT_CONSTANT,
         strict: bool = False,
         **labels: Any,
     ):
-        self.registry = registry if registry is not None else get_registry()
+        self.registry = get_registry()
         self.num_agents = num_agents
         self.num_edges = num_edges
         self.constant = constant

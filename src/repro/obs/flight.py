@@ -21,7 +21,7 @@ Model (OpenTelemetry-shaped, stdlib-only):
 * :class:`FlightRecorder` — a bounded, thread-safe span sink.  The
   process-global recorder is ``None`` unless :func:`enable_flight` (or
   ``REPRO_FLIGHT=1``) installed one, so the disabled path costs one
-  context-variable read — the same <5% contract as the metrics registry
+  context-variable read — held under 5% of a run
   (measured in ``benchmarks/bench_flight_overhead.py``).
 * Exporters — Chrome trace-event / Perfetto-compatible JSON
   (:func:`to_chrome_trace`, with flow events for links) and a compact

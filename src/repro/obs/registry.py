@@ -21,8 +21,8 @@ layer actually needs:
 * **findings** — structured audit records (budget overruns, cardinality
   overflows) that ride along with the numeric snapshot.
 
-Module-level helpers manage the *default* registry (what instrumentation
-points fall back to when not handed one explicitly) and a collector table
+Module-level helpers manage the *default* registry (the process registry
+every run-level instrumentation point writes to) and a collector table
 so independent registries — e.g. the always-on one owned by
 :mod:`repro.perf.cache` — are merged into one snapshot by
 :func:`collect_snapshot`.
@@ -389,10 +389,10 @@ class MetricsRegistry:
 # Default registry & collectors
 # ---------------------------------------------------------------------------
 
-#: The process-wide default.  Ships **disabled** so the hot paths keep
-#: their zero-cost contract; opt in with ``repro.obs.enable()``, the
-#: ``REPRO_METRICS=1`` environment variable, or by passing an enabled
-#: registry as ``metrics=`` to :class:`repro.sim.runtime.Simulation`.
+#: The process-wide default: the one destination of every metric a run
+#: produces.  Ships **disabled** so the hot paths keep their zero-cost
+#: contract; opt in with ``repro.obs.enable()`` or the ``REPRO_METRICS=1``
+#: environment variable, or install another with :func:`set_registry`.
 _default = MetricsRegistry(enabled=bool(int(os.environ.get("REPRO_METRICS", "0") or 0)))
 
 #: Named registries merged by :func:`collect_snapshot` (e.g. the always-on

@@ -1,7 +1,8 @@
 """Span-based profiling: where did the wall time go, per phase?
 
-Two instruments, both writing into a registry's ``span_seconds``
-histogram (labels: ``span`` plus whatever the caller adds):
+Two instruments, both writing into the process registry's
+``span_seconds`` histogram (labels: ``span`` plus whatever the caller
+adds):
 
 * :func:`span` — a plain context manager for synchronous computations
   (``with span("build_schedule"): ...``);
@@ -18,10 +19,10 @@ question being answered ("where did the run's time go while this agent
 was in MAP-DRAWING?"), not a per-agent CPU profile; DESIGN §8.3 spells
 out the semantics.
 
-Both instruments no-op against a disabled registry: :func:`span` yields
-immediately, and a :class:`PhaseClock` built against a disabled registry
-pins itself off (``_registry = None``) so every call is one attribute
-test.
+Both instruments read :func:`~repro.obs.registry.get_registry` when they
+start and no-op against a disabled registry: :func:`span` yields
+immediately, and a :class:`PhaseClock` built while it is disabled pins
+itself off (``_registry = None``) so every call is one attribute test.
 
 When the flight recorder (:mod:`repro.obs.flight`) is active *and* a
 trace context is current, both instruments additionally emit flight
@@ -64,13 +65,9 @@ def _span_histogram(registry: MetricsRegistry) -> Histogram:
 
 
 @contextmanager
-def span(
-    name: str,
-    registry: Optional[MetricsRegistry] = None,
-    **labels: Any,
-) -> Iterator[None]:
+def span(name: str, **labels: Any) -> Iterator[None]:
     """Record the wall time of the enclosed block as one span observation."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     frec = flight.active()
     if not reg.enabled and frec is None:
         yield
@@ -98,12 +95,8 @@ class PhaseClock:
     __slots__ = ("_registry", "_hist", "_labels", "phase", "_entered",
                  "_flight", "_wall")
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        **labels: Any,
-    ):
-        reg = registry if registry is not None else get_registry()
+    def __init__(self, **labels: Any):
+        reg = get_registry()
         self.phase: Optional[str] = None
         self._flight = flight.active() is not None
         self._wall = 0.0

@@ -39,9 +39,7 @@ from .cache import (
     invalidate,
     memo,
     memo_value,
-    metrics_registry,
     reset,
-    reset_cache_stats,
     stats_rows,
     uncached,
 )
@@ -62,9 +60,7 @@ __all__ = [
     "invalidate",
     "memo",
     "memo_value",
-    "metrics_registry",
     "reset",
-    "reset_cache_stats",
     "stats_rows",
     "uncached",
 ]

@@ -183,11 +183,6 @@ def invalidate(network: Optional[Any] = None) -> None:
             _network_store.pop(network, None)
 
 
-def metrics_registry() -> MetricsRegistry:
-    """The cache's own always-enabled registry (the ``perf.cache`` collector)."""
-    return _metrics
-
-
 def cache_stats() -> Dict[str, Dict[str, int]]:
     """Snapshot of hit/miss counters per computation kind."""
     hits = {dict(key).get("kind", "?"): int(v) for key, v in _hits.series().items()}
@@ -203,11 +198,6 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
 def reset() -> None:
     """Zero all counters (does not drop cached values)."""
     _metrics.reset()
-
-
-def reset_cache_stats() -> None:
-    """Historical alias of :func:`reset`."""
-    reset()
 
 
 def stats_rows() -> List[List[Any]]:

@@ -29,17 +29,17 @@ quantities Theorem 3.1 bounds by ``O(r·|E|)``.
 
 Observability: pass a :class:`~repro.trace.sinks.TraceSink` as ``trace`` to
 record the run as a structured event stream (one primary event per
-scheduler step, see :mod:`repro.trace.events`).  The default (no sink)
-costs a single attribute test per emit site; recorded runs replay
-bit-for-bit through :class:`~repro.trace.replay.ReplayScheduler`.
+scheduler step, see :mod:`repro.trace.events`).  ``trace=None`` (the
+default) is the one untraced run: it costs a single attribute test per
+emit site.  Recorded runs replay bit-for-bit through
+:class:`~repro.trace.replay.ReplayScheduler`.
 
-Metrics registry: pass a :class:`~repro.obs.registry.MetricsRegistry` as
-``metrics`` (default: the process-wide registry, which ships disabled).
-The agent records are the run's only live count: when the run ends —
-completed, deadlocked or raised — an enabled registry is fed once from
-them (per-agent move/access and watchdog counters, scheduler steps and
-the Theorem 3.1 budget gauges of :mod:`repro.obs.budget`), so the step
-loop carries no metrics code at all.
+Metrics go to the process registry (:func:`repro.obs.registry.get_registry`,
+which ships disabled).  The agent records are the run's only live count:
+when the run ends — completed, deadlocked or raised — an enabled registry
+is fed once from them (per-agent move/access and watchdog counters,
+scheduler steps and the Theorem 3.1 budget gauges of
+:mod:`repro.obs.budget`), so the step loop carries no metrics code at all.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from enum import Enum
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.budget import BudgetTracker
-from ..obs.registry import MetricsRegistry, get_registry
+from ..obs.registry import get_registry
 
 from ..errors import (
     DeadlockError,
@@ -224,15 +224,6 @@ class Simulation:
         header and every runtime event (wake/move/read/write/erase/acquire/
         wait/block/unblock/log/done).  ``None`` (default) disables tracing
         at zero cost.
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`.  ``None``
-        (default) falls back to the process-wide registry, which ships
-        disabled; a disabled registry costs nothing.  When enabled, the
-        run's end feeds it ``agent_moves_total`` / ``agent_accesses_total``,
-        ``watchdog_restarts_total`` / ``watchdog_stalls_total`` (by agent)
-        and ``scheduler_steps_total`` from the agent records, and settles a
-        Theorem 3.1 :class:`~repro.obs.budget.BudgetTracker` (exposed as
-        ``self.budget``) with the run's totals.
     fault:
         Optional fault plan (duck-typed: anything with an ``install(sim)``
         method, canonically :class:`repro.fault.plan.FaultPlan`).  Installed
@@ -249,6 +240,13 @@ class Simulation:
         :class:`~repro.errors.StallDetected` (a ``DeadlockError`` subclass)
         instead of a bare ``DeadlockError`` — unless ``deadlock_ok`` is
         set, which keeps returning a ``deadlocked=True`` result.
+
+    If the process registry is enabled when ``run`` starts, the run's end
+    feeds it ``agent_moves_total`` / ``agent_accesses_total``,
+    ``watchdog_restarts_total`` / ``watchdog_stalls_total`` (by agent) and
+    ``scheduler_steps_total`` from the agent records, and settles a
+    Theorem 3.1 :class:`~repro.obs.budget.BudgetTracker` (``self.budget``)
+    with the run's totals.
     """
 
     def __init__(
@@ -261,7 +259,6 @@ class Simulation:
         deadlock_ok: bool = False,
         port_shuffle_seed: int = 0,
         trace: Optional[Any] = None,
-        metrics: Optional[MetricsRegistry] = None,
         fault: Optional[Any] = None,
         watchdog: Optional[Any] = None,
     ):
@@ -303,11 +300,6 @@ class Simulation:
         self.max_steps = max_steps
         self.deadlock_ok = deadlock_ok
         self._port_seed = port_shuffle_seed
-        # A sink may declare itself disabled (NullSink does): the runtime
-        # then skips event construction entirely, so "tracing wired but
-        # not wanted" costs the same as no tracing at all.
-        if trace is not None and not getattr(trace, "enabled", True):
-            trace = None
         self._sink = trace
         if trace is not None:
             # Deferred import: repro.trace depends on the core runners,
@@ -328,28 +320,17 @@ class Simulation:
         #: must exist before fault installation (install appends to it).
         self.step_hooks: List[Any] = []
         self.fault_state = fault.install(self) if fault is not None else None
-        if metrics is None:
-            metrics = get_registry()
-        self._metrics: Optional[MetricsRegistry] = (
-            metrics if metrics.enabled else None
-        )
         self.budget: Optional[BudgetTracker] = None
-        if self._metrics is not None:
-            self.budget = BudgetTracker(
-                num_agents=len(self.records),
-                num_edges=self.network.num_edges,
-                registry=self._metrics,
-            )
         self._step = -1  # PRE_RUN_STEP until the scheduler's first choice
 
     def _publish_metrics(self, steps: int) -> None:
-        """Feed the enabled registry this run's totals, read off the records.
+        """Feed the registry the run started under its totals, read off the records.
 
         Called once, when the run ends however it ends: the step loop keeps
         the only live count (``rec.moves``, ``rec.accesses``,
         ``rec.restarts`` and the watchdog's stall journal).
         """
-        reg = self._metrics
+        reg = self.budget.registry
         moves = reg.counter(
             "agent_moves_total", help="edge traversals, by agent color"
         )
@@ -478,10 +459,6 @@ class Simulation:
         rec = self.records[idx]
         if rec.state is not AgentState.ASLEEP:
             return
-        if self._metrics is not None:
-            # Hand phase-instrumented protocols (ElectAgent's PhaseClock)
-            # this run's registry; they fall back to the global default.
-            rec.agent.obs_registry = self._metrics
         rec.gen = rec.agent.protocol(self._view(idx, rec.node))
         rec.pending = None
         rec.state = AgentState.READY
@@ -667,10 +644,20 @@ class Simulation:
             self._restart_pending.clear()
         # Per-run state, built after fault installation (which may swap in
         # a churnable network and wrap agents, each wrapper keeping its
-        # agent's color): the port-order memo and the color name each of
-        # this run's trace events carries.
+        # agent's color): the port-order memo, the color name each of
+        # this run's trace events carries, and the budget tracker.  The
+        # tracker reads the process registry now, as the agents' phase
+        # clocks do when they wake, so one run meters into one registry.
         self._port_order = PortOrder(self.network, self._port_seed)
         self._color_names = [rec.agent.color.name for rec in self.records]
+        self.budget = (
+            BudgetTracker(
+                num_agents=len(self.records),
+                num_edges=self.network.num_edges,
+            )
+            if get_registry().enabled
+            else None
+        )
         if self._sink is not None:
             self._emit_header()
         # Mark every home-base with a sign of its agent's color (paper
@@ -749,7 +736,7 @@ class Simulation:
         finally:
             if self._sink is not None:
                 self._sink.flush()
-            if self._metrics is not None:
+            if self.budget is not None:
                 self._publish_metrics(steps)
         return self._result(steps)
 

@@ -79,7 +79,6 @@ from .replay import (
 from .sinks import (
     JsonlSink,
     MemorySink,
-    NullSink,
     TeeSink,
     TraceSink,
     dump_trace,
@@ -110,7 +109,6 @@ __all__ = [
     "RESTART",
     # sinks
     "TraceSink",
-    "NullSink",
     "MemorySink",
     "JsonlSink",
     "TeeSink",

@@ -1,15 +1,15 @@
 """Pluggable trace sinks: where a run's event stream goes.
 
 The runtime's emit hooks are guarded by a single ``is not None`` test, so a
-simulation constructed without a sink pays nothing for the instrumentation
-(the "zero-cost default").  When a sink *is* attached, the runtime calls
+simulation constructed without a sink (``trace=None``, the one untraced
+run) pays nothing for the instrumentation (the "zero-cost default").
+Every sink is live: when one *is* attached, the runtime calls
 :meth:`TraceSink.emit_header` once before the first event and
 :meth:`TraceSink.emit` for every event, then :meth:`TraceSink.flush` when
 the run ends (normally or via ``deadlock_ok``).
 
 Shipped sinks:
 
-* :class:`NullSink` — disabled sink; the runtime skips tracing entirely.
 * :class:`MemorySink` — list or ring buffer (``capacity``) of events.
 * :class:`JsonlSink` — one JSON object per line; first line is the header.
 * :class:`TeeSink` — fan-out to several sinks (e.g. memory + file).
@@ -36,10 +36,6 @@ class TraceSink:
     (e.g. :func:`repro.core.runner.run_election` or the record helpers in
     :mod:`repro.trace.replay`) attach instance provenance to a trace.
     """
-
-    #: Disabled sinks (``enabled = False``) tell the runtime to skip event
-    #: construction entirely — the run behaves as if untraced.
-    enabled = True
 
     def __init__(self) -> None:
         self.annotations: Dict[str, Any] = {}
@@ -86,22 +82,6 @@ class TraceSink:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-class NullSink(TraceSink):
-    """Discards every event.
-
-    Declares ``enabled = False``, so the runtime short-circuits to the
-    untraced path: a simulation handed a ``NullSink`` pays nothing for the
-    instrumentation.  The explicit "tracing wired but not wanted"
-    placeholder; fed events directly (e.g. under :class:`TeeSink`) it
-    simply swallows them.
-    """
-
-    enabled = False
-
-    def emit(self, event: TraceEvent) -> None:
-        pass
 
 
 class MemorySink(TraceSink):

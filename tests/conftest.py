@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.colors import ColorSpace
-from repro.obs import flight, reset_all_collectors
+from repro.obs import MetricsRegistry, flight, reset_all_collectors, set_registry
 from repro.graphs import (
     complete_bipartite_graph,
     complete_graph,
@@ -29,6 +29,20 @@ def _clean_observability():
     yield
     reset_all_collectors()
     flight.disable_flight()
+
+
+@pytest.fixture
+def fresh_registry():
+    """A fresh enabled process registry, for tests that read a run's metrics.
+
+    Installed with :func:`~repro.obs.registry.set_registry`, the one way a
+    run's metrics change destination; the previous registry is restored
+    on teardown.
+    """
+    registry = MetricsRegistry(enabled=True)
+    previous = set_registry(registry)
+    yield registry
+    set_registry(previous)
 
 
 @pytest.fixture

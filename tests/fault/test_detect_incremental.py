@@ -25,7 +25,7 @@ from repro.fault.byzantine_campaign import (
 )
 from repro.fault.detect import CONSISTENCY, PROVENANCE, STRICT
 from repro.graphs import hypercube_cayley
-from repro.obs import MetricsRegistry, instrument_whiteboards
+from repro.obs import MetricsRegistry, instrument_whiteboards, set_registry
 from repro.sim import RandomScheduler, Simulation
 from repro.sim.signs import DFS_VISITED, LEADER_ANNOUNCE, Sign
 from repro.sim.whiteboard import Whiteboard
@@ -310,8 +310,10 @@ def _board_ops(with_detector):
     )
     if with_detector:
         detector = CheatDetector(strictness=3, check_every=1).install(sim)
+    # Each compared run counts into its own fresh process registry.
     registry = MetricsRegistry(enabled=True)
-    restore = instrument_whiteboards(registry)
+    previous = set_registry(registry)
+    restore = instrument_whiteboards()
     try:
         result = sim.run()
         if with_detector:
@@ -319,6 +321,7 @@ def _board_ops(with_detector):
             assert detector.findings == []
     finally:
         restore()
+        set_registry(previous)
     return registry.snapshot()["metrics"]["whiteboard_ops_total"]
 
 

@@ -10,7 +10,6 @@ from repro.core.runner import run_elect
 from repro.fault import CrashAtStep, FaultPlan, Watchdog
 from repro.graphs import path_graph
 from repro.obs import flight
-from repro.obs.registry import MetricsRegistry
 from repro.sim import Simulation
 from repro.sim.scheduler import RandomScheduler
 from repro.trace import (
@@ -23,7 +22,7 @@ from repro.trace.invariants import THEOREM31_CONSTANT
 
 
 def supervised_sim(seed=0, crash_after=10, max_restarts=2, trace=None,
-                   scheduler=None, metrics=None):
+                   scheduler=None):
     """Two agents on the (asymmetric, electable) path P_5; agent 0 crashes."""
     net = path_graph(5)
     space = ColorSpace()
@@ -39,7 +38,6 @@ def supervised_sim(seed=0, crash_after=10, max_restarts=2, trace=None,
         fault=plan,
         watchdog=Watchdog(timeout=60, max_restarts=max_restarts, seed=seed),
         trace=trace,
-        metrics=metrics,
     )
 
 
@@ -138,9 +136,9 @@ class TestDeterminism:
 
 
 class TestObservability:
-    def test_watchdog_counters_match_the_result(self):
-        registry = MetricsRegistry(enabled=True)
-        sim = supervised_sim(seed=1, metrics=registry)
+    def test_watchdog_counters_match_the_result(self, fresh_registry):
+        registry = fresh_registry
+        sim = supervised_sim(seed=1)
         result = sim.run()
         labels = [rec.agent.color.name for rec in sim.records]
         restarts = registry.counter("watchdog_restarts_total")

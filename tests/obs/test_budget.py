@@ -1,30 +1,28 @@
-"""Live Theorem 3.1 budget accounting."""
+"""Live Theorem 3.1 budget accounting (gauges in the process registry;
+``fresh_registry`` installs an enabled one)."""
 
 import pytest
 
 from repro.errors import InvariantViolation
 from repro.obs.budget import ACCESSES, MOVES, BudgetTracker
-from repro.obs.registry import MetricsRegistry
 
 
-def test_budget_is_constant_times_r_edges():
-    reg = MetricsRegistry()
-    tracker = BudgetTracker(num_agents=3, num_edges=12, registry=reg, constant=15.0)
+def test_budget_is_constant_times_r_edges(fresh_registry):
+    reg = fresh_registry
+    tracker = BudgetTracker(num_agents=3, num_edges=12, constant=15.0)
     assert tracker.budget == 15.0 * 3 * 12
     assert reg.gauge("theorem31_budget").value(resource=MOVES) == tracker.budget
     assert reg.gauge("theorem31_used").value(resource=MOVES) == 0.0
 
 
-def test_edgeless_network_still_gets_positive_budget():
-    tracker = BudgetTracker(
-        num_agents=1, num_edges=0, registry=MetricsRegistry(), constant=2.0
-    )
+def test_edgeless_network_still_gets_positive_budget(fresh_registry):
+    tracker = BudgetTracker(num_agents=1, num_edges=0, constant=2.0)
     assert tracker.budget == 2.0
 
 
-def test_recording_updates_gauges_and_headroom():
-    reg = MetricsRegistry()
-    tracker = BudgetTracker(num_agents=1, num_edges=1, registry=reg, constant=10.0)
+def test_recording_updates_gauges_and_headroom(fresh_registry):
+    reg = fresh_registry
+    tracker = BudgetTracker(num_agents=1, num_edges=1, constant=10.0)
     for _ in range(4):
         tracker.record_move()
     tracker.record_access()
@@ -36,9 +34,9 @@ def test_recording_updates_gauges_and_headroom():
     assert not tracker.overrun
 
 
-def test_overrun_records_one_finding_and_flips_the_gauge():
-    reg = MetricsRegistry()
-    tracker = BudgetTracker(num_agents=1, num_edges=1, registry=reg, constant=2.0)
+def test_overrun_records_one_finding_and_flips_the_gauge(fresh_registry):
+    reg = fresh_registry
+    tracker = BudgetTracker(num_agents=1, num_edges=1, constant=2.0)
     for _ in range(5):
         tracker.record_move()
     assert tracker.overrun
@@ -49,21 +47,15 @@ def test_overrun_records_one_finding_and_flips_the_gauge():
     assert findings[0].stats["budget"] == 2.0
 
 
-def test_strict_mode_raises_on_overrun():
-    tracker = BudgetTracker(
-        num_agents=1,
-        num_edges=1,
-        registry=MetricsRegistry(),
-        constant=1.0,
-        strict=True,
-    )
+def test_strict_mode_raises_on_overrun(fresh_registry):
+    tracker = BudgetTracker(num_agents=1, num_edges=1, constant=1.0, strict=True)
     tracker.record_move()
     with pytest.raises(InvariantViolation):
         tracker.record_move()
 
 
-def test_summary_is_json_safe():
-    tracker = BudgetTracker(num_agents=2, num_edges=3, registry=MetricsRegistry())
+def test_summary_is_json_safe(fresh_registry):
+    tracker = BudgetTracker(num_agents=2, num_edges=3)
     tracker.record_move()
     summary = tracker.summary()
     assert summary["used"] == {MOVES: 1, ACCESSES: 0}
@@ -71,9 +63,9 @@ def test_summary_is_json_safe():
     assert summary["num_agents"] == 2
 
 
-def test_a_counted_record_settles_a_whole_run_at_once():
-    reg = MetricsRegistry()
-    tracker = BudgetTracker(num_agents=1, num_edges=1, registry=reg, constant=2.0)
+def test_a_counted_record_settles_a_whole_run_at_once(fresh_registry):
+    reg = fresh_registry
+    tracker = BudgetTracker(num_agents=1, num_edges=1, constant=2.0)
     tracker.record_move(5)
     tracker.record_access(2)
     assert tracker.used(MOVES) == 5
@@ -82,9 +74,6 @@ def test_a_counted_record_settles_a_whole_run_at_once():
     findings = [f for f in reg.findings if f.name == "theorem-3.1-budget"]
     assert len(findings) == 1
     assert findings[0].stats["used"] == 5.0  # the total, not the first excess
-    strict = BudgetTracker(
-        num_agents=1, num_edges=1, registry=MetricsRegistry(), constant=2.0,
-        strict=True,
-    )
+    strict = BudgetTracker(num_agents=1, num_edges=1, constant=2.0, strict=True)
     with pytest.raises(InvariantViolation):
         strict.record_access(3)

@@ -1,30 +1,30 @@
-"""Span and PhaseClock profiling semantics."""
+"""Span and PhaseClock profiling semantics (both write to the process
+registry; ``fresh_registry`` installs an enabled one)."""
 
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SPAN_METRIC, PhaseClock, span
 
 
 class TestSpan:
-    def test_records_one_observation_with_labels(self):
-        reg = MetricsRegistry()
-        with span("work", registry=reg, instance="t"):
+    def test_records_one_observation_with_labels(self, fresh_registry):
+        reg = fresh_registry
+        with span("work", instance="t"):
             pass
         state = reg.histogram(SPAN_METRIC).state(span="work", instance="t")
         assert state.count == 1
         assert state.min >= 0.0
 
-    def test_records_even_when_body_raises(self):
-        reg = MetricsRegistry()
+    def test_records_even_when_body_raises(self, fresh_registry):
+        reg = fresh_registry
         try:
-            with span("boom", registry=reg):
+            with span("boom"):
                 raise ValueError("x")
         except ValueError:
             pass
         assert reg.histogram(SPAN_METRIC).state(span="boom").count == 1
 
-    def test_disabled_registry_records_nothing(self):
-        reg = MetricsRegistry(enabled=False)
-        with span("work", registry=reg):
+    def test_disabled_registry_records_nothing(self, fresh_registry):
+        reg = fresh_registry.disable()
+        with span("work"):
             pass
         assert reg.snapshot()["metrics"].get(SPAN_METRIC, {"series": []})[
             "series"
@@ -32,9 +32,9 @@ class TestSpan:
 
 
 class TestPhaseClock:
-    def test_enter_closes_previous_phase(self):
-        reg = MetricsRegistry()
-        clock = PhaseClock(registry=reg, agent="A")
+    def test_enter_closes_previous_phase(self, fresh_registry):
+        reg = fresh_registry
+        clock = PhaseClock(agent="A")
         clock.enter("one")
         clock.enter("two")
         clock.close()
@@ -45,18 +45,18 @@ class TestPhaseClock:
         assert entries.value(phase="one", agent="A") == 1.0
         assert entries.value(phase="two", agent="A") == 1.0
 
-    def test_close_is_idempotent(self):
-        reg = MetricsRegistry()
-        clock = PhaseClock(registry=reg)
+    def test_close_is_idempotent(self, fresh_registry):
+        reg = fresh_registry
+        clock = PhaseClock()
         clock.enter("only")
         clock.close()
         clock.close()
         assert reg.histogram(SPAN_METRIC).state(span="only").count == 1
         assert clock.phase is None
 
-    def test_disabled_clock_still_tracks_phase_attribute(self):
-        reg = MetricsRegistry(enabled=False)
-        clock = PhaseClock(registry=reg, agent="A")
+    def test_disabled_clock_still_tracks_phase_attribute(self, fresh_registry):
+        reg = fresh_registry.disable()
+        clock = PhaseClock(agent="A")
         clock.enter("one")
         assert clock.phase == "one"  # tracked even with metrics off
         clock.enter("two")

@@ -21,7 +21,7 @@ from repro.perf import (
     invalidate,
     memo,
     memo_value,
-    reset_cache_stats,
+    reset,
     stats_rows,
     uncached,
 )
@@ -32,10 +32,10 @@ from repro.perf import cache as cache_module
 def clean_cache():
     """Each test sees an empty cache and zeroed counters."""
     invalidate()
-    reset_cache_stats()
+    reset()
     yield
     invalidate()
-    reset_cache_stats()
+    reset()
 
 
 def refinement_runs():
@@ -111,7 +111,7 @@ def test_invalidate_clears_the_value_store_table():
     assert ("canonical_key", g) in cache_module._value_store
     invalidate()
     assert len(cache_module._value_store) == 0
-    reset_cache_stats()
+    reset()
     canonical_key(g)
     assert cache_stats()["canonical_key"]["misses"] == 1  # recomputed
 
@@ -180,7 +180,7 @@ def test_counters_live_in_the_perf_cache_collector():
     net = cycle_graph(4)
     memo(net, "k", None, lambda: 1)
     registry = collectors()["perf.cache"]
-    assert registry is cache_module.metrics_registry()
+    assert registry is cache_module._metrics
     assert registry.counter("cache_misses_total").value(kind="k") == 1.0
 
 

@@ -18,7 +18,6 @@ from repro.trace import (
     WRITE,
     JsonlSink,
     MemorySink,
-    NullSink,
     TeeSink,
     TraceEvent,
     TraceHeader,
@@ -215,25 +214,6 @@ class TestJsonlSink:
 
 
 class TestOtherSinks:
-    def test_null_sink_discards_events_keeps_header(self):
-        sink = NullSink()
-        sink.emit_header(header())
-        sink.emit(ev())
-        assert sink.header is not None
-
-    def test_null_sink_disables_runtime_tracing_entirely(self):
-        # enabled=False tells the runtime to take the untraced fast path:
-        # nothing is emitted, not even a header — that is the zero-cost
-        # contract the overhead benchmark holds us to.
-        from repro import Placement, run_elect
-        from repro.graphs import cycle_graph
-
-        assert NullSink.enabled is False
-        sink = NullSink()
-        outcome = run_elect(cycle_graph(5), Placement.of([0, 1]), trace=sink)
-        assert outcome.elected
-        assert sink.header is None
-
     def test_tee_fans_out(self, tmp_path):
         mem1, mem2 = MemorySink(), MemorySink()
         tee = TeeSink(mem1, mem2)
